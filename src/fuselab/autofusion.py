@@ -45,10 +45,8 @@ class AutoFusionNet(Module):
             raise DimensionError(f"latent widths {widths} != configured {self.input_dims}")
         z_k = ad.concat(latents, axis=1) if len(latents) > 1 else latents[0]
         z_t = ad.tanh(self.compress(z_k))
-        z_hat = self.reconstruct(z_t)
-        diff = z_hat - z_k
-        j = ad.mean(ad.sum(diff * diff, axis=1))
-        return FusionOutput(z_fuse=z_t, j_fusion=j)
+        return FusionOutput(z_fuse=z_t,
+                            j_fusion=reconstruction_loss(self.reconstruct(z_t), z_k))
 
 
 def reconstruction_loss(z_hat: Tensor, z_k: Tensor) -> Tensor:

@@ -9,6 +9,8 @@ echoing the configuration.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -51,7 +53,7 @@ def _read_exact(fh, n: int) -> bytes:
     return buf
 
 
-def _read_block(fh) -> dict[str, np.ndarray]:
+def _read_block(fh, file_size: int) -> dict[str, np.ndarray]:
     (count,) = struct.unpack("<I", _read_exact(fh, 4))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -61,8 +63,14 @@ def _read_block(fh) -> dict[str, np.ndarray]:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<B", _read_exact(fh, 1))
         shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
-        n_items = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = _read_exact(fh, 8 * n_items)
+        # Python ints cannot overflow; a corrupt header must not size the read
+        n_bytes = 8 * math.prod(shape)
+        left = file_size - fh.tell()
+        if n_bytes > left:
+            raise CheckpointError(
+                f"truncated checkpoint file: tensor {name!r} of shape {shape} "
+                f"needs {n_bytes} bytes, {left} remain")
+        payload = _read_exact(fh, n_bytes)
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     return out
 
@@ -81,14 +89,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4) != MAGIC:
             raise CheckpointError(f"bad magic in {path}")
         (version,) = struct.unpack("<I", _read_exact(fh, 4))
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        tensors = _read_block(fh)
-        optimizer = _read_block(fh)
-        rng = _read_block(fh)
+        tensors = _read_block(fh, size)
+        optimizer = _read_block(fh, size)
+        rng = _read_block(fh, size)
         (text_len,) = struct.unpack("<I", _read_exact(fh, 4))
         text = _read_exact(fh, text_len).decode("utf-8")
     return Checkpoint(tensors=tensors, optimizer=optimizer, rng=rng,

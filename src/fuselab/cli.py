@@ -10,18 +10,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-
-import numpy as np
+from dataclasses import fields, replace
 
 from . import checkpoint as ckpt_io
 from . import data as data_mod
 from . import harness
-from .autodiff import AutodiffError, Tensor
-from .config import (ConfigError, ExperimentConfig, config_to_text,
-                     load_config_file)
+from .autodiff import AutodiffError
+from .config import (ConfigError, ExperimentConfig, load_config_file,
+                     parse_config_text)
 from .data import SchemaError
-from .gradcheck import check_gradients
+from .gradcheck import gradcheck_cases, run_gradchecks
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -40,7 +38,6 @@ def _build_config(args) -> ExperimentConfig:
         if raw is not None:
             overrides.append(f"{f.name} = {raw}")
     if overrides:
-        from .config import parse_config_text
         cfg = parse_config_text("\n".join(overrides), base=cfg)
     cfg.validate()
     return cfg
@@ -70,8 +67,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _build_config(args)
+def _train_and_write(cfg: ExperimentConfig) -> harness.RunRecord:
+    """Train one configuration; write checkpoint.bin, metrics.csv and
+    summary.json into its output directory."""
     ckpt, record = harness.train(cfg)
     out = _out_dir(cfg)
     ckpt_path = os.path.join(out, "checkpoint.bin")
@@ -79,6 +77,11 @@ def cmd_train(args) -> int:
     record.write_csv(os.path.join(out, "metrics.csv"))
     record.write_summary(os.path.join(out, "summary.json"))
     print(f"checkpoint: {ckpt_path}")
+    return record
+
+
+def cmd_train(args) -> int:
+    record = _train_and_write(_build_config(args))
     print(f"best val metric {record.summary['best_val_metric']:.4f} "
           f"at epoch {record.summary['best_epoch']}")
     return 0
@@ -112,45 +115,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from . import autodiff as ad
-    rng = np.random.default_rng(args.seed)
-
-    def t(*shape):
-        return Tensor(rng.normal(size=shape), requires_grad=True)
-
-    cases = {
-        "matmul": lambda: check_gradients(
-            lambda ts: ad.sum(ad.matmul(ts[0], ts[1])), [t(3, 4), t(4, 2)]),
-        "tanh": lambda: check_gradients(
-            lambda ts: ad.sum(ad.tanh(ts[0])), [t(5, 3)]),
-        "sigmoid": lambda: check_gradients(
-            lambda ts: ad.sum(ad.sigmoid(ts[0])), [t(5, 3)]),
-        "softmax": lambda: check_gradients(
-            lambda ts: ad.sum(ad.softmax(ts[0], axis=1) * ad.softmax(ts[0], axis=1)),
-            [t(4, 6)]),
-        "concat": lambda: check_gradients(
-            lambda ts: ad.sum(ad.square(ad.concat([ts[0], ts[1]], axis=1))),
-            [t(3, 2), t(3, 4)]),
-        "bmm": lambda: check_gradients(
-            lambda ts: ad.sum(ad.bmm(ts[0], ts[1])), [t(2, 3, 4), t(2, 4, 2)]),
-        "mean": lambda: check_gradients(
-            lambda ts: ad.mean(ad.square(ts[0])), [t(6, 4)]),
-        "leaky_relu": lambda: check_gradients(
-            lambda ts: ad.sum(ad.leaky_relu(ts[0], alpha=0.2)), [t(5, 5)]),
-    }
-    worst = 0.0
-    failed = []
-    for _ in range(args.repeats):
-        for name, fn in cases.items():
-            try:
-                worst = max(worst, fn())
-            except AssertionError as exc:
-                failed.append(f"{name}: {exc}")
+    worst, failed = run_gradchecks(args.repeats, args.seed)
     if failed:
         for line in failed:
             print("FAIL", line)
         return 2
-    print(f"gradcheck passed: {args.repeats * len(cases)} cases, "
+    print(f"gradcheck passed: {args.repeats * len(gradcheck_cases())} cases, "
           f"worst relative error {worst:.3e}")
     return 0
 
@@ -163,18 +133,9 @@ def cmd_sweep(args) -> int:
     results = []
     for l1 in grid1:
         for l2 in grid2:
-            run_cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-            from .config import parse_config_text
-            text = config_to_text(cfg) + f"lambda1 = {l1}\nlambda2 = {l2}\n"
-            run_cfg = parse_config_text(text, base=run_cfg)
-            run_cfg.out_dir = os.path.join(root, f"l1_{l1}_l2_{l2}")
-            run_cfg.validate()
-            os.makedirs(run_cfg.out_dir, exist_ok=True)
-            ckpt, record = harness.train(run_cfg)
-            ckpt_io.save_checkpoint(
-                os.path.join(run_cfg.out_dir, "checkpoint.bin"), ckpt)
-            record.write_csv(os.path.join(run_cfg.out_dir, "metrics.csv"))
-            record.write_summary(os.path.join(run_cfg.out_dir, "summary.json"))
+            record = _train_and_write(replace(
+                cfg, lambda1=l1, lambda2=l2,
+                out_dir=os.path.join(root, f"l1_{l1}_l2_{l2}")))
             results.append((l1, l2, record.summary["best_val_metric"]))
             print(f"lambda1={l1} lambda2={l2} "
                   f"best_val={record.summary['best_val_metric']:.4f}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
 
 VALID_TASKS = ("classification", "translation")
 VALID_FUSIONS = ("concat", "auto", "gan")
@@ -56,8 +56,6 @@ class ExperimentConfig:
     # data / evaluation
     train_path: str = ""
     val_path: str = ""
-    test_path: str = ""
-    word_drop_p: float = 0.0
     out_dir: str = ""
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class ExperimentConfig:
             raise ConfigError("fusion=gan requires at least 2 modalities")
         if self.task == "translation" and "text" not in self.modalities:
             raise ConfigError("translation requires the text modality")
-        if not 0.0 <= self.word_drop_p <= 1.0:
-            raise ConfigError("word_drop_p must lie in [0, 1]")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.classification_loss not in ("cross_entropy", "hinge"):
@@ -134,7 +130,8 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+    """Apply key = value lines on top of a copy of base (or the defaults)."""
+    cfg = ExperimentConfig() if base is None else replace(base)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

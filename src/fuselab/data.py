@@ -179,16 +179,34 @@ def write_dataset(path, samples: list[RawSample]) -> None:
             fh.write("\t".join(row) + "\n")
 
 
+def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str
+                  ) -> np.ndarray | None:
+    """Comma-separated floats; every row of one modality has the first row's
+    width, and every value is finite."""
+    if not raw:
+        return None
+    v = np.array([float(x) for x in raw.split(",")])
+    width = widths.setdefault(kind, v.size)
+    if v.size != width:
+        raise SchemaError(f"{where}: {kind} vector has {v.size} values, "
+                          f"earlier rows have {width}")
+    if not np.isfinite(v).all():
+        raise SchemaError(f"{where}: non-finite value in {kind} vector")
+    return v
+
+
 def read_dataset(path) -> list[RawSample]:
     samples = []
+    widths: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != SCHEMA_HEADER:
             raise SchemaError(f"bad schema header in {path}: {header!r}")
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split("\t")
+            where = f"{path}:{lineno}"
             if len(fields) != 5:
-                raise SchemaError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+                raise SchemaError(f"{where}: expected 5 fields, got {len(fields)}")
             topic, label_or_target, text, speech, video = fields
             is_label = label_or_target.strip().lstrip("-").isdigit()
             samples.append(RawSample(
@@ -196,8 +214,8 @@ def read_dataset(path) -> list[RawSample]:
                 label=int(label_or_target) if is_label else None,
                 target_tokens=None if is_label else label_or_target.split(),
                 text_tokens=text.split() if text else None,
-                speech=np.array([float(x) for x in speech.split(",")]) if speech else None,
-                video=np.array([float(x) for x in video.split(",")]) if video else None,
+                speech=_parse_vector(speech, "speech", widths, where),
+                video=_parse_vector(video, "video", widths, where),
             ))
     return samples
 

@@ -27,10 +27,6 @@ class LatentBundle:
         if "text" in self.latents and self.text_states is None:
             raise ValueError("text latent requires the encoder state sequence")
 
-    @property
-    def modalities(self) -> list[str]:
-        return [m for m in MODALITIES if m in self.latents]
-
 
 class TextEncoder(Module):
     """Embedding lookup + unrolled LSTM; summary latent taken at true lengths."""
@@ -53,7 +49,6 @@ class TextEncoder(Module):
 
         h, c = self.cell.zero_state(b)
         per_step: list[Tensor] = []
-        final_h: Tensor | None = None
         for step in range(L):
             x_t = self.embed(token_ids[:, step])
             h_new, c_new = self.cell(x_t, h, c)
@@ -68,37 +63,22 @@ class TextEncoder(Module):
         return z_t, states, mask
 
 
-class Standardizer:
-    """Per-feature mean/std frozen from the training split."""
-
-    def __init__(self, mean: np.ndarray, std: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.std = np.asarray(std, dtype=np.float64)
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "Standardizer":
-        features = np.asarray(features, dtype=np.float64)
-        std = features.std(axis=0)
-        return cls(features.mean(axis=0), np.where(std > 1e-12, std, 1.0))
-
-    def __call__(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-
-
 class VectorEncoder(Module):
     """Standardize -> affine -> tanh learner for speech/video feature vectors."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         super().__init__()
-        self.d_in, self.d_out = d_in, d_out
+        self.d_in = d_in
         self.proj = self.add_child("proj", Affine(d_in, d_out, rng))
         self.norm_mean = self.add_buffer("norm_mean", np.zeros(d_in))
         self.norm_std = self.add_buffer("norm_std", np.ones(d_in))
 
     def fit_normalization(self, features: np.ndarray) -> None:
-        s = Standardizer.fit(features)
-        self.norm_mean[...] = s.mean
-        self.norm_std[...] = s.std
+        """Freeze per-feature mean/std from the training split."""
+        features = np.asarray(features, dtype=np.float64)
+        std = features.std(axis=0)
+        self.norm_mean[...] = features.mean(axis=0)
+        self.norm_std[...] = np.where(std > 1e-12, std, 1.0)
 
     def __call__(self, features: np.ndarray) -> Tensor:
         features = np.asarray(features, dtype=np.float64)

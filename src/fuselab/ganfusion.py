@@ -172,10 +172,6 @@ class GanFusionStack(Module):
             out.update(mod.discriminator.parameters(f"{m}.discriminator."))
         return out
 
-    def generator_side_parameters(self) -> dict[str, Tensor]:
-        disc = set(self.discriminator_parameters())
-        return {n: t for n, t in self.parameters().items() if n not in disc}
-
     def gan_forwards(self, bundle: LatentBundle,
                      rng: np.random.Generator | None) -> list[ModuleForward]:
         missing = [m for m in self.order if m not in bundle.latents]

@@ -1,10 +1,19 @@
-"""Central finite-difference gradient verification for differentiable ops."""
+"""Central finite-difference gradient verification, and the table of ops and
+layers it is run on."""
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
+from .autofusion import AutoFusionNet
+from .encoders import LatentBundle
+from .ganfusion import GanFusionModule, clamped_log
+from .heads import AttentiveDecoder
+from .layers import Affine, LSTMCell
 
 
 def numeric_grad(fn, tensors: list[Tensor], wrt: int, h: float = 1e-5) -> np.ndarray:
@@ -53,3 +62,185 @@ def check_gradients(fn, tensors: list[Tensor], h: float = 1e-5,
         if rel.size:
             worst = max(worst, float(rel.max()))
     return worst
+
+
+def gradcheck_cases():
+    """(name, builder) pairs, one per differentiable op or composed layer.
+
+    Each builder takes a Generator and returns (fn, tensors) for one random
+    case. The acceptance suite (criterion 1) and ``fuselab gradcheck`` both
+    run this table.
+    """
+
+    def t(rng, *shape, lo=-1.0, hi=1.0):
+        return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
+
+    def elementwise(op, **kw):
+        def build(rng):
+            return (lambda ts: ad.sum(op(ts[0], **kw)), [t(rng, 3, 4)])
+        return build
+
+    def build_add(rng):
+        return (lambda ts: ad.sum(ad.square(ts[0] + ts[1])), [t(rng, 3, 4), t(rng, 4)])
+
+    def build_sub(rng):
+        return (lambda ts: ad.sum(ad.square(ts[0] - ts[1])), [t(rng, 3, 4), t(rng, 3, 4)])
+
+    def build_mul(rng):
+        return (lambda ts: ad.sum(ts[0] * ts[1]), [t(rng, 3, 4), t(rng, 4)])
+
+    def build_div(rng):
+        return (lambda ts: ad.sum(ad.div(ts[0], ts[1])),
+                [t(rng, 3, 4), t(rng, 3, 4, lo=0.5, hi=2.0)])
+
+    def build_exp(rng):
+        return (lambda ts: ad.sum(ad.exp(ts[0])), [t(rng, 3, 4)])
+
+    def build_log(rng):
+        return (lambda ts: ad.sum(ad.log(ts[0])), [t(rng, 3, 4, lo=0.5, hi=3.0)])
+
+    def build_matmul(rng):
+        return (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]))),
+                [t(rng, 3, 4), t(rng, 4, 2)])
+
+    def build_bmm(rng):
+        return (lambda ts: ad.sum(ad.square(ad.bmm(ts[0], ts[1]))),
+                [t(rng, 2, 3, 2), t(rng, 2, 2, 3)])
+
+    def build_concat(rng):
+        return (lambda ts: ad.sum(ad.square(ad.concat([ts[0], ts[1]], axis=1))),
+                [t(rng, 3, 2), t(rng, 3, 3)])
+
+    def build_narrow(rng):
+        return (lambda ts: ad.sum(ad.square(ad.narrow(ts[0], 1, 1, 2))),
+                [t(rng, 3, 4)])
+
+    def build_reshape(rng):
+        return (lambda ts: ad.sum(ad.square(ad.reshape(ts[0], (2, 6)))),
+                [t(rng, 3, 4)])
+
+    def build_transpose(rng):
+        return (lambda ts: ad.sum(ad.square(ad.transpose(ts[0], (1, 0)))),
+                [t(rng, 3, 4)])
+
+    def build_sum_axis(rng):
+        return (lambda ts: ad.sum(ad.square(ad.sum(ts[0], axis=1))), [t(rng, 3, 4)])
+
+    def build_mean(rng):
+        return (lambda ts: ad.mean(ad.square(ts[0])), [t(rng, 3, 4)])
+
+    def build_max(rng):
+        # keep entries well separated so finite differences stay valid
+        vals = rng.permutation(24).reshape(3, 8) * 0.5
+        x = Tensor(vals + rng.uniform(-0.01, 0.01, size=(3, 8)), requires_grad=True)
+        return (lambda ts: ad.sum(ad.max(ts[0], axis=1)), [x])
+
+    def build_softmax(rng):
+        return (lambda ts: ad.sum(ad.square(ad.softmax(ts[0], axis=1))),
+                [t(rng, 3, 5)])
+
+    def build_clamped_log(rng):
+        return (lambda ts: ad.sum(clamped_log(ts[0])),
+                [t(rng, 3, 4, lo=0.1, hi=1.0)])
+
+    def build_affine(rng):
+        layer = Affine(3, 2, rng)
+        x = t(rng, 4, 3)
+        return (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]) + ts[2])),
+                [x, layer.W, layer.b])
+
+    def build_lstm_step(rng):
+        cell = LSTMCell(2, 2, rng)
+        x, h, c = t(rng, 3, 2), t(rng, 3, 2), t(rng, 3, 2)
+
+        def fn(ts):
+            h2, c2 = cell(ts[0], ts[1], ts[2])
+            return ad.sum(ad.square(h2)) + ad.sum(ad.square(c2))
+
+        return (fn, [x, h, c, cell.W, cell.U, cell.b])
+
+    def build_attention_step(rng):
+        dec = AttentiveDecoder(5, 2, 2, 2, 2, rng)
+        z = t(rng, 2, 2)
+        states = t(rng, 2, 3, 2)
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        prev = np.array([1, 2])
+
+        def fn(ts):
+            h, c = dec.init_state(ts[0])
+            logits, h2, c2, _ = dec.decode_step(prev, h, c, ts[0], ts[1], mask)
+            return ad.sum(ad.square(logits))
+
+        params = [z, states, dec.attn_W, dec.bridge.W, dec.out.W]
+        return (fn, params)
+
+    def build_autofusion(rng):
+        net = AutoFusionNet([2, 3], 2, rng)
+        a, b = t(rng, 3, 2), t(rng, 3, 3)
+
+        def fn(ts):
+            out = net([ts[0], ts[1]])
+            return out.j_fusion + ad.sum(ad.square(out.z_fuse))
+
+        return (fn, [a, b, net.compress.W, net.reconstruct.W])
+
+    def build_ganfusion(rng):
+        mod = GanFusionModule("text", 2, [("speech", 2)], 2, 2, 3, 0.0, rng)
+        zt, zs = t(rng, 3, 2), t(rng, 3, 2)
+
+        def fn(ts):
+            bundle = LatentBundle(latents={"speech": ts[1], "text": ts[0]},
+                                  text_states=Tensor(np.zeros((3, 1, 2))),
+                                  text_mask=np.ones((3, 1)))
+            fwd = mod.gan_forward(bundle, None)
+            return mod.generator_loss(fwd.z_g) + ad.sum(ad.square(fwd.z_g))
+
+        return (fn, [zt, zs, mod.generator.fc1.W, mod.generator.fc2.W])
+
+    def build_discriminator_loss(rng):
+        mod = GanFusionModule("text", 2, [("speech", 2)], 2, 2, 3, 0.0, rng)
+        z_tr = Tensor(rng.normal(size=(4, 2)))
+        z_g = Tensor(rng.normal(size=(4, 2)))
+
+        def fn(ts):
+            return mod.discriminator_loss(z_tr, z_g)
+
+        return (fn, [mod.discriminator.fc1.W, mod.discriminator.fc1.b,
+                     mod.discriminator.fc2.W, mod.discriminator.fc2.b])
+
+    return [
+        ("add", build_add), ("sub", build_sub), ("mul", build_mul),
+        ("div", build_div), ("tanh", elementwise(ad.tanh)),
+        ("sigmoid", elementwise(ad.sigmoid)),
+        ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
+        ("exp", build_exp), ("log", build_log),
+        ("square", elementwise(ad.square)), ("matmul", build_matmul),
+        ("bmm", build_bmm), ("concat", build_concat), ("narrow", build_narrow),
+        ("reshape", build_reshape), ("transpose", build_transpose),
+        ("sum", build_sum_axis), ("mean", build_mean), ("max", build_max),
+        ("softmax", build_softmax), ("clamped_log", build_clamped_log),
+        ("affine", build_affine), ("lstm_step", build_lstm_step),
+        ("attention_step", build_attention_step),
+        ("autofusion", build_autofusion), ("ganfusion", build_ganfusion),
+        ("discriminator_loss", build_discriminator_loss),
+    ]
+
+
+def run_gradchecks(repeats: int, seed: int = 0) -> tuple[float, list[str]]:
+    """Check `repeats` random cases of every table entry.
+
+    Each entry draws from its own Generator, seeded by the entry name's CRC32
+    plus `seed`. Returns the worst relative error over the cases that passed
+    and one "name: message" line per case that failed.
+    """
+    worst = 0.0
+    failed: list[str] = []
+    for name, build in gradcheck_cases():
+        rng = np.random.default_rng(zlib.crc32(name.encode()) + seed)
+        for _ in range(repeats):
+            fn, tensors = build(rng)
+            try:
+                worst = max(worst, check_gradients(fn, tensors))
+            except AssertionError as exc:
+                failed.append(f"{name}: {exc}")
+    return worst, failed

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .autofusion import AutoFusionNet, FusionOutput
 from .config import ConfigError, ExperimentConfig, config_to_text, parse_config_text
 from .data import RawSample, apply_word_drop, read_dataset
-from .encoders import LatentBundle, TextEncoder, VectorEncoder
+from .encoders import MODALITIES, LatentBundle, TextEncoder, VectorEncoder
 from .ganfusion import GanFusionStack
 from .heads import AttentiveDecoder, ClassifierHead
 from .layers import AdamState, adam_step, dropout
@@ -167,7 +167,7 @@ class FusionModel(layers.Module):
             self.fusion = None
         elif cfg.fusion == "auto":
             self.d_fuse = cfg.d_fuse
-            ordered = [dims[m] for m in ("video", "speech", "text") if m in dims]
+            ordered = [dims[m] for m in MODALITIES if m in dims]
             self.fusion = self.add_child(
                 "fusion", AutoFusionNet(ordered, cfg.d_fuse, rng))
         else:
@@ -202,17 +202,14 @@ class FusionModel(layers.Module):
 
     def fuse(self, bundle: LatentBundle,
              noise_rng: np.random.Generator | None) -> FusionOutput:
-        if self.cfg.fusion == "concat":
-            ordered = [bundle.latents[m] for m in ("video", "speech", "text")
-                       if m in bundle.latents]
-            z = ad.concat(ordered, axis=1) if len(ordered) > 1 else ordered[0]
-            return FusionOutput(z_fuse=z, j_fusion=Tensor(0.0))
+        if self.cfg.fusion == "gan":
+            return self.fusion.fuse(bundle, noise_rng,
+                                    saturating=self.cfg.saturating_gan)
+        ordered = [bundle.latents[m] for m in MODALITIES if m in bundle.latents]
         if self.cfg.fusion == "auto":
-            ordered = [bundle.latents[m] for m in ("video", "speech", "text")
-                       if m in bundle.latents]
             return self.fusion(ordered)
-        return self.fusion.fuse(bundle, noise_rng,
-                                saturating=self.cfg.saturating_gan)
+        z = ad.concat(ordered, axis=1) if len(ordered) > 1 else ordered[0]
+        return FusionOutput(z_fuse=z, j_fusion=Tensor(0.0))
 
     def task_loss(self, fused: FusionOutput, bundle: LatentBundle, batch: Batch,
                   drop_rng: np.random.Generator | None) -> Tensor:
@@ -237,9 +234,7 @@ class FusionModel(layers.Module):
             self.cfg.max_decode_len)
 
     def non_discriminator_parameters(self) -> dict[str, Tensor]:
-        if self.cfg.fusion != "gan":
-            return self.parameters()
-        disc = {"fusion." + n for n in self.fusion.discriminator_parameters()}
+        disc = self.discriminator_parameters()
         return {n: t for n, t in self.parameters().items() if n not in disc}
 
     def discriminator_parameters(self) -> dict[str, Tensor]:

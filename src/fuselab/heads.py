@@ -50,7 +50,6 @@ class AttentiveDecoder(Module):
         super().__init__()
         self.vocab_size = vocab_size
         self.hidden = hidden
-        self.enc_hidden = enc_hidden
         self.condition_every_step = condition_every_step
         self.d_fuse = d_fuse
         self.embed = self.add_child("embed", Embedding(vocab_size, embed_dim, rng))

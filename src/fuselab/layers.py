@@ -141,50 +141,6 @@ class LSTMCell(Module):
         return Tensor(z.copy()), Tensor(z.copy())
 
 
-class BatchNorm(Module):
-    """Batch normalization over the batch axis of a (b, d) tensor."""
-
-    EPS = 1e-5
-    MOMENTUM = 0.9
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-        self.gamma = self.add_param("gamma", np.ones(dim))
-        self.beta = self.add_param("beta", np.zeros(dim))
-        self.running_mean = self.add_buffer("running_mean", np.zeros(dim))
-        self.running_var = self.add_buffer("running_var", np.ones(dim))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.dim:
-            raise DimensionError(f"batch_norm width {x.shape[1]} != {self.dim}")
-        if self.training:
-            if x.shape[0] < 2:
-                raise ValueError("batch_norm in train mode needs batch size >= 2")
-            mu = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            self.running_mean *= self.MOMENTUM
-            self.running_mean += (1 - self.MOMENTUM) * mu
-            self.running_var *= self.MOMENTUM
-            self.running_var += (1 - self.MOMENTUM) * var
-            std = np.sqrt(var + self.EPS)
-            xhat = (x.data - mu) / std
-            gamma, beta = self.gamma, self.beta
-            out_data = gamma.data * xhat + beta.data
-            n = x.shape[0]
-
-            def bw(g):
-                beta._accumulate(g.sum(axis=0))
-                gamma._accumulate((g * xhat).sum(axis=0))
-                gx = g * gamma.data
-                x._accumulate((gx - gx.mean(axis=0)
-                               - xhat * (gx * xhat).mean(axis=0)) / std)
-
-            return ad._make(out_data, (x, gamma, beta), bw)
-        scale = Tensor(1.0 / np.sqrt(self.running_var + self.EPS))
-        return self.gamma * ((x - Tensor(self.running_mean)) * scale) + self.beta
-
-
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when p == 0 or in eval mode."""
     if not 0.0 <= p < 1.0:

@@ -119,8 +119,6 @@ def silhouette(points: np.ndarray, group_ids) -> float:
     if groups.size < 2:
         raise ValueError("silhouette needs at least two groups")
 
-    diff = points[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
     n = points.shape[0]
     scores = np.zeros(n)
     for i in range(n):
@@ -129,8 +127,11 @@ def silhouette(points: np.ndarray, group_ids) -> float:
         if n_own == 1:
             scores[i] = 0.0
             continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, group_ids == g].mean() for g in groups if g != group_ids[i])
+        # one row of the distance matrix at a time keeps memory at O(n d)
+        diff = points[i] - points
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        a = dist[own].sum() / (n_own - 1)
+        b = min(dist[group_ids == g].mean() for g in groups if g != group_ids[i])
         denom = max(a, b)
         scores[i] = (b - a) / denom if denom > 0 else 0.0
     return float(scores.mean())

@@ -6,212 +6,37 @@ values; tolerances are stated inline where each assertion is made.
 
 import math
 import time
-import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from fuselab import autodiff as ad
 from fuselab import checkpoint as ckpt_io
 from fuselab import data as data_mod
 from fuselab import harness
 from fuselab.autodiff import Tensor
 from fuselab.autofusion import AutoFusionNet
 from fuselab.config import ExperimentConfig
-from fuselab.encoders import LatentBundle
-from fuselab.ganfusion import GanFusionModule, clamped_log
-from fuselab.gradcheck import check_gradients
-from fuselab.heads import AttentiveDecoder
-from fuselab.layers import Affine, BatchNorm, LSTMCell, adam_step, AdamState
-from fuselab.metrics import classification_report, corpus_bleu, silhouette
+from fuselab.ganfusion import GanFusionModule
+from fuselab.gradcheck import gradcheck_cases, run_gradchecks
+from fuselab.layers import adam_step, AdamState
+from fuselab.metrics import classification_report, corpus_bleu
 
 
 # =====================================================================
 # criterion 1: gradient integrity
 # =====================================================================
 
-def _gradcheck_cases():
-    """(name, builder) pairs; each builder returns (fn, tensors) for one case."""
-
-    def t(rng, *shape, lo=-1.0, hi=1.0):
-        return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=True)
-
-    def elementwise(op, **kw):
-        def build(rng):
-            return (lambda ts: ad.sum(op(ts[0], **kw)), [t(rng, 3, 4)])
-        return build
-
-    def build_add(rng):
-        return (lambda ts: ad.sum(ad.square(ts[0] + ts[1])), [t(rng, 3, 4), t(rng, 4)])
-
-    def build_sub(rng):
-        return (lambda ts: ad.sum(ad.square(ts[0] - ts[1])), [t(rng, 3, 4), t(rng, 3, 4)])
-
-    def build_mul(rng):
-        return (lambda ts: ad.sum(ts[0] * ts[1]), [t(rng, 3, 4), t(rng, 4)])
-
-    def build_div(rng):
-        return (lambda ts: ad.sum(ad.div(ts[0], ts[1])),
-                [t(rng, 3, 4), t(rng, 3, 4, lo=0.5, hi=2.0)])
-
-    def build_exp(rng):
-        return (lambda ts: ad.sum(ad.exp(ts[0])), [t(rng, 3, 4)])
-
-    def build_log(rng):
-        return (lambda ts: ad.sum(ad.log(ts[0])), [t(rng, 3, 4, lo=0.5, hi=3.0)])
-
-    def build_matmul(rng):
-        return (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]))),
-                [t(rng, 3, 4), t(rng, 4, 2)])
-
-    def build_bmm(rng):
-        return (lambda ts: ad.sum(ad.square(ad.bmm(ts[0], ts[1]))),
-                [t(rng, 2, 3, 2), t(rng, 2, 2, 3)])
-
-    def build_concat(rng):
-        return (lambda ts: ad.sum(ad.square(ad.concat([ts[0], ts[1]], axis=1))),
-                [t(rng, 3, 2), t(rng, 3, 3)])
-
-    def build_narrow(rng):
-        return (lambda ts: ad.sum(ad.square(ad.narrow(ts[0], 1, 1, 2))),
-                [t(rng, 3, 4)])
-
-    def build_reshape(rng):
-        return (lambda ts: ad.sum(ad.square(ad.reshape(ts[0], (2, 6)))),
-                [t(rng, 3, 4)])
-
-    def build_transpose(rng):
-        return (lambda ts: ad.sum(ad.square(ad.transpose(ts[0], (1, 0)))),
-                [t(rng, 3, 4)])
-
-    def build_sum_axis(rng):
-        return (lambda ts: ad.sum(ad.square(ad.sum(ts[0], axis=1))), [t(rng, 3, 4)])
-
-    def build_mean(rng):
-        return (lambda ts: ad.mean(ad.square(ts[0])), [t(rng, 3, 4)])
-
-    def build_max(rng):
-        # keep entries well separated so finite differences stay valid
-        vals = rng.permutation(24).reshape(3, 8) * 0.5
-        x = Tensor(vals + rng.uniform(-0.01, 0.01, size=(3, 8)), requires_grad=True)
-        return (lambda ts: ad.sum(ad.max(ts[0], axis=1)), [x])
-
-    def build_softmax(rng):
-        return (lambda ts: ad.sum(ad.square(ad.softmax(ts[0], axis=1))),
-                [t(rng, 3, 5)])
-
-    def build_clamped_log(rng):
-        return (lambda ts: ad.sum(clamped_log(ts[0])),
-                [t(rng, 3, 4, lo=0.1, hi=1.0)])
-
-    def build_affine(rng):
-        layer = Affine(3, 2, rng)
-        x = t(rng, 4, 3)
-        return (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]) + ts[2])),
-                [x, layer.W, layer.b])
-
-    def build_lstm_step(rng):
-        cell = LSTMCell(2, 2, rng)
-        x, h, c = t(rng, 3, 2), t(rng, 3, 2), t(rng, 3, 2)
-
-        def fn(ts):
-            h2, c2 = cell(ts[0], ts[1], ts[2])
-            return ad.sum(ad.square(h2)) + ad.sum(ad.square(c2))
-
-        return (fn, [x, h, c, cell.W, cell.U, cell.b])
-
-    def build_batchnorm(rng):
-        bn = BatchNorm(3)
-        bn.train()
-        x = t(rng, 5, 3)
-        return (lambda ts: ad.sum(ad.square(bn(ts[0]))), [x, bn.gamma, bn.beta])
-
-    def build_attention_step(rng):
-        dec = AttentiveDecoder(5, 2, 2, 2, 2, rng)
-        z = t(rng, 2, 2)
-        states = t(rng, 2, 3, 2)
-        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        prev = np.array([1, 2])
-
-        def fn(ts):
-            h, c = dec.init_state(ts[0])
-            logits, h2, c2, _ = dec.decode_step(prev, h, c, ts[0], ts[1], mask)
-            return ad.sum(ad.square(logits))
-
-        params = [z, states, dec.attn_W, dec.bridge.W, dec.out.W]
-        return (fn, params)
-
-    def build_autofusion(rng):
-        net = AutoFusionNet([2, 3], 2, rng)
-        a, b = t(rng, 3, 2), t(rng, 3, 3)
-
-        def fn(ts):
-            out = net([ts[0], ts[1]])
-            return out.j_fusion + ad.sum(ad.square(out.z_fuse))
-
-        return (fn, [a, b, net.compress.W, net.reconstruct.W])
-
-    def build_ganfusion(rng):
-        mod = GanFusionModule("text", 2, [("speech", 2)], 2, 2, 3, 0.0, rng)
-        zt, zs = t(rng, 3, 2), t(rng, 3, 2)
-
-        def fn(ts):
-            bundle = LatentBundle(latents={"speech": ts[1], "text": ts[0]},
-                                  text_states=Tensor(np.zeros((3, 1, 2))),
-                                  text_mask=np.ones((3, 1)))
-            fwd = mod.gan_forward(bundle, None)
-            return mod.generator_loss(fwd.z_g) + ad.sum(ad.square(fwd.z_g))
-
-        return (fn, [zt, zs, mod.generator.fc1.W, mod.generator.fc2.W])
-
-    def build_discriminator_loss(rng):
-        mod = GanFusionModule("text", 2, [("speech", 2)], 2, 2, 3, 0.0, rng)
-        z_tr = Tensor(rng.normal(size=(4, 2)))
-        z_g = Tensor(rng.normal(size=(4, 2)))
-
-        def fn(ts):
-            return mod.discriminator_loss(z_tr, z_g)
-
-        return (fn, [mod.discriminator.fc1.W, mod.discriminator.fc1.b,
-                     mod.discriminator.fc2.W, mod.discriminator.fc2.b])
-
-    return [
-        ("add", build_add), ("sub", build_sub), ("mul", build_mul),
-        ("div", build_div), ("tanh", elementwise(ad.tanh)),
-        ("sigmoid", elementwise(ad.sigmoid)),
-        ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
-        ("exp", build_exp), ("log", build_log),
-        ("square", elementwise(ad.square)), ("matmul", build_matmul),
-        ("bmm", build_bmm), ("concat", build_concat), ("narrow", build_narrow),
-        ("reshape", build_reshape), ("transpose", build_transpose),
-        ("sum", build_sum_axis), ("mean", build_mean), ("max", build_max),
-        ("softmax", build_softmax), ("clamped_log", build_clamped_log),
-        ("affine", build_affine), ("lstm_step", build_lstm_step),
-        ("batchnorm", build_batchnorm), ("attention_step", build_attention_step),
-        ("autofusion", build_autofusion), ("ganfusion", build_ganfusion),
-        ("discriminator_loss", build_discriminator_loss),
-    ]
-
-
 def test_criterion_1_gradient_integrity():
     """Every op and composed layer: 100 random finite-difference cases each,
     max relative error < 1e-4, whole sweep under 2 minutes."""
     t0 = time.time()
-    worst = 0.0
-    cases = _gradcheck_cases()
-    for name, build in cases:
-        rng = np.random.default_rng(zlib.crc32(name.encode()))
-        for _ in range(100):
-            fn, tensors = build(rng)
-            for x in tensors:
-                x.requires_grad = True
-            err = check_gradients(fn, tensors, rel_tol=1e-4)
-            worst = max(worst, err)
+    worst, failed = run_gradchecks(repeats=100)
     elapsed = time.time() - t0
+    assert not failed, failed[:3]
     assert elapsed < 120.0, f"gradcheck sweep took {elapsed:.1f}s (budget 120s)"
     assert worst < 1e-4
-    print(f"\nCRITERION 1 PASS: {len(cases)} targets x 100 cases, "
+    print(f"\nCRITERION 1 PASS: {len(gradcheck_cases())} targets x 100 cases, "
           f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 

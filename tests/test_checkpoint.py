@@ -91,6 +91,27 @@ def test_duplicate_name_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def write_hostile_header(path, dims):
+    """A checkpoint whose one tensor claims `dims` but carries 8 bytes."""
+    with open(path, "wb") as fh:
+        fh.write(b"FUSE" + struct.pack("<I", 1) + struct.pack("<I", 1))
+        fh.write(struct.pack("<H", 1) + b"w" + struct.pack("<B", len(dims)))
+        fh.write(struct.pack(f"<{len(dims)}I", *dims))
+        fh.write(struct.pack("<d", 1.0))
+        fh.write(struct.pack("<III", 0, 0, 0))
+
+
+HOSTILE_DIMS = [(2**20, 2**20), (2**32 - 1,) * 3, (2**31, 2**31, 4)]
+
+
+@pytest.mark.parametrize("dims", HOSTILE_DIMS)
+def test_hostile_dims_rejected_before_reading(tmp_path, dims):
+    path = tmp_path / "c.bin"
+    write_hostile_header(path, dims)
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_empty_checkpoint_round_trip(tmp_path):
     path = tmp_path / "c.bin"
     save_checkpoint(path, Checkpoint())

@@ -1,10 +1,13 @@
 import json
 import os
+import struct
 
 import pytest
 
+from fuselab.checkpoint import load_checkpoint
 from fuselab.cli import main
 from fuselab.data import SCHEMA_HEADER, read_dataset
+from fuselab.gradcheck import gradcheck_cases
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +100,40 @@ def test_corrupt_checkpoint_exit_code_2(workdir, tmp_path):
     assert rc == 2
 
 
-def test_gradcheck_command():
+def test_hostile_checkpoint_header_exit_code_2(workdir, tmp_path):
+    bad = tmp_path / "bad.bin"
+    # one tensor claiming dims (2**31, 2**31, 4), then empty blocks
+    bad.write_bytes(b"FUSE" + struct.pack("<II", 1, 1) + struct.pack("<H", 1)
+                    + b"w" + struct.pack("<B3I", 3, 2**31, 2**31, 4)
+                    + struct.pack("<dIII", 1.0, 0, 0, 0))
+    rc = main(["eval", "--checkpoint", str(bad),
+               "--dataset", str(workdir / "dsets" / "test.tsv")])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda v: "nan," + v.split(",", 1)[1], "non-finite value in speech vector"),
+    (lambda v: "1.0,2.0", "speech vector has 2 values"),
+])
+def test_bad_speech_vector_exit_code_1(workdir, tmp_path, capsys, edit, message):
+    lines = (workdir / "dsets" / "train.tsv").read_text().splitlines()
+    fields = lines[5].split("\t")
+    fields[3] = edit(fields[3])
+    lines[5] = "\t".join(fields)
+    bad = tmp_path / "train.tsv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--task", "translation", "--fusion", "gan",
+               "--epochs", "1", "--train-path", str(bad),
+               "--val-path", str(workdir / "dsets" / "val.tsv"),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"{bad}:6: {message}" in capsys.readouterr().err
+
+
+def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--repeats", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"gradcheck passed: {len(gradcheck_cases())} cases" in out
 
 
 def test_fuselab_out_env_default(workdir, tmp_path, monkeypatch):
@@ -123,4 +158,8 @@ def test_sweep_writes_grid(workdir, tmp_path):
     lines = (run / "sweep.csv").read_text().splitlines()
     assert lines[0] == "lambda1,lambda2,best_val_metric"
     assert len(lines) == 3
-    assert (run / "l1_0.5_l2_1.0" / "checkpoint.bin").exists()
+    for l1 in ("0.5", "1.0"):
+        ckpt = load_checkpoint(run / f"l1_{l1}_l2_1.0" / "checkpoint.bin")
+        echo = ckpt.config_text.splitlines()
+        assert f"lambda1 = {l1}" in echo
+        assert "epochs = 1" in echo

@@ -59,7 +59,6 @@ def test_disc_lr_none_round_trip():
     "fusion = late",
     "modalities = audio",
     "lambda1 = -1.0",
-    "word_drop_p = 1.5",
     "dropout_p = 1.0",
     "classification_loss = mse",
     "epochs = 0",
@@ -101,3 +100,4 @@ def test_flags_override_base():
     base = parse_config_text("lr = 0.01\nepochs = 5\n")
     cfg = parse_config_text("epochs = 9\n", base=base)
     assert cfg.lr == 0.01 and cfg.epochs == 9
+    assert base.epochs == 5  # base is copied, not mutated

@@ -178,6 +178,29 @@ def test_dataset_bad_field_count(tmp_path):
         read_dataset(path)
 
 
+def _corrupt_vector(path, lineno, column, edit):
+    """Rewrite one speech (column 3) or video (column 4) vector of a file."""
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split("\t")
+    fields[column] = edit(fields[column])
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column, edit, message", [
+    (3, lambda v: v.rsplit(",", 1)[0], "speech vector has 31 values"),
+    (4, lambda v: v + ",0.5", "video vector has 49 values"),
+    (3, lambda v: "nan," + v.split(",", 1)[1], "non-finite value in speech"),
+    (4, lambda v: v.rsplit(",", 1)[0] + ",-inf", "non-finite value in video"),
+])
+def test_dataset_bad_vector_names_line(tmp_path, column, edit, message):
+    path = tmp_path / "bad.tsv"
+    write_dataset(path, gen_interaction_dataset(5, seed=13))
+    _corrupt_vector(path, 4, column, edit)
+    with pytest.raises(SchemaError, match=f"bad.tsv:4: {message}"):
+        read_dataset(path)
+
+
 def test_split_disjoint_and_complete():
     samples = gen_interaction_dataset(100, seed=12)
     tr, va, te = split_dataset(samples)

@@ -3,7 +3,7 @@ import pytest
 
 from fuselab import autodiff as ad
 from fuselab.autodiff import DimensionError, Tensor
-from fuselab.encoders import LatentBundle, Standardizer, TextEncoder, VectorEncoder
+from fuselab.encoders import LatentBundle, TextEncoder, VectorEncoder
 from fuselab.gradcheck import check_gradients
 
 
@@ -80,10 +80,13 @@ def test_vector_encoder_width_mismatch(rng):
 
 def test_standardizer_roundtrip(rng):
     feats = rng.normal(3.0, 5.0, size=(500, 4))
-    s = Standardizer.fit(feats)
-    out = s(feats)
+    feats[:, 3] = 7.0  # a constant feature keeps std 1 instead of dividing by 0
+    enc = VectorEncoder(4, 2, rng)
+    enc.fit_normalization(feats)
+    out = (feats - enc.norm_mean) / enc.norm_std
     np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-10)
+    np.testing.assert_allclose(out[:, :3].var(axis=0), 1.0, atol=1e-10)
+    assert enc.norm_std[3] == 1.0
 
 
 def test_fit_normalization_frozen(rng):
@@ -103,9 +106,3 @@ def test_latent_bundle_requires_modality():
 def test_latent_bundle_text_needs_states():
     with pytest.raises(ValueError):
         LatentBundle(latents={"text": Tensor(np.zeros((1, 2)))})
-
-
-def test_latent_bundle_modalities_order(rng):
-    b = LatentBundle(latents={"speech": Tensor(np.zeros((1, 2))),
-                              "video": Tensor(np.zeros((1, 2)))})
-    assert b.modalities == ["video", "speech"]

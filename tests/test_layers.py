@@ -71,48 +71,6 @@ def test_lstm_unrolled_gradcheck(rng):
     check_gradients(fn, xs + [cell.W, cell.U, cell.b])
 
 
-def test_batchnorm_train_statistics(rng):
-    bn = layers.BatchNorm(3)
-    x = Tensor(rng.normal(2.0, 3.0, size=(64, 3)))
-    out = bn(x)
-    assert np.all(np.abs(out.data.mean(axis=0)) < 1e-10)
-    assert np.all(np.abs(out.data.var(axis=0) - 1.0) < 1e-4)
-
-
-def test_batchnorm_constant_batch_returns_beta(rng):
-    bn = layers.BatchNorm(2)
-    bn.beta.data[...] = [5.0, -1.0]
-    out = bn(Tensor(np.full((4, 2), 3.3)))
-    np.testing.assert_allclose(out.data, np.tile([5.0, -1.0], (4, 1)), atol=1e-9)
-
-
-def test_batchnorm_small_batch_rejected():
-    bn = layers.BatchNorm(2)
-    with pytest.raises(ValueError):
-        bn(Tensor(np.zeros((1, 2))))
-
-
-def test_batchnorm_gradcheck(rng):
-    bn = layers.BatchNorm(3)
-    x = Tensor(rng.uniform(-2, 2, size=(5, 3)), requires_grad=True)
-
-    def fn(ts):
-        bn.running_mean[...] = 0.0  # keep forward pure across fd evaluations
-        bn.running_var[...] = 1.0
-        return ad.sum(ad.tanh(bn(ts[0])))
-
-    check_gradients(fn, [x, bn.gamma, bn.beta], rel_tol=5e-4)
-
-
-def test_batchnorm_eval_uses_running_stats(rng):
-    bn = layers.BatchNorm(2)
-    for _ in range(200):
-        bn(Tensor(rng.normal(4.0, 2.0, size=(32, 2))))
-    bn.eval()
-    out = bn(Tensor(np.array([[4.0, 4.0]])))
-    np.testing.assert_allclose(out.data, 0.0, atol=0.2)
-
-
 def test_cross_entropy_uniform():
     logits = Tensor(np.zeros((3, 8)), requires_grad=True)
     loss = layers.softmax_cross_entropy(logits, np.array([0, 3, 7]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -183,6 +184,20 @@ def test_silhouette_singleton_contributes_zero():
     by_hand_0 = (np.linalg.norm(pts[0] - pts[2]) - 0.1) / np.linalg.norm(pts[0] - pts[2])
     by_hand_1 = (np.linalg.norm(pts[1] - pts[2]) - 0.1) / np.linalg.norm(pts[1] - pts[2])
     assert s == pytest.approx((by_hand_0 + by_hand_1 + 0.0) / 3)
+
+
+def test_silhouette_memory_is_linear():
+    # a full n x n x d difference array at (600, 32) would take 92 MB
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(600, 32))
+    groups = rng.integers(0, 4, size=600)
+    tracemalloc.start()
+    try:
+        silhouette(pts, groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"silhouette peak {peak / 1e6:.1f} MB"
 
 
 def test_silhouette_one_group_rejected():
