@@ -185,7 +185,10 @@ def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str
     width, and every value is finite."""
     if not raw:
         return None
-    v = np.array([float(x) for x in raw.split(",")])
+    try:
+        v = np.array([float(x) for x in raw.split(",")])
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {kind} vector: {exc}") from None
     width = widths.setdefault(kind, v.size)
     if v.size != width:
         raise SchemaError(f"{where}: {kind} vector has {v.size} values, "
@@ -208,9 +211,13 @@ def read_dataset(path) -> list[RawSample]:
             if len(fields) != 5:
                 raise SchemaError(f"{where}: expected 5 fields, got {len(fields)}")
             topic, label_or_target, text, speech, video = fields
+            try:
+                topic_id = int(topic)
+            except ValueError:
+                raise SchemaError(f"{where}: topic {topic!r} is not an integer") from None
             is_label = label_or_target.strip().lstrip("-").isdigit()
             samples.append(RawSample(
-                topic=int(topic),
+                topic=topic_id,
                 label=int(label_or_target) if is_label else None,
                 target_tokens=None if is_label else label_or_target.split(),
                 text_tokens=text.split() if text else None,

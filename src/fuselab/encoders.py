@@ -47,19 +47,16 @@ class TextEncoder(Module):
             raise ValueError("sequence lengths must lie in [1, L]")
         mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
 
+        # The LSTM is causal: steps past a row's length never reach its earlier
+        # states, so padding runs through the cell and is masked out afterwards.
         h, c = self.cell.zero_state(b)
         per_step: list[Tensor] = []
         for step in range(L):
-            x_t = self.embed(token_ids[:, step])
-            h_new, c_new = self.cell(x_t, h, c)
-            # freeze state on finished sequences so padding never leaks in
-            keep = Tensor(mask[:, step:step + 1])
-            inv = Tensor(1.0 - mask[:, step:step + 1])
-            h = h_new * keep + h * inv
-            c = c_new * keep + c * inv
-            per_step.append(h_new * keep)
-        z_t = h
-        states = ad.concat([ad.reshape(s, (b, 1, self.hidden)) for s in per_step], axis=1)
+            h, c = self.cell(self.embed(token_ids[:, step]), h, c)
+            per_step.append(ad.reshape(h, (b, 1, self.hidden)))
+        states = ad.concat(per_step, axis=1) * Tensor(mask[:, :, None])
+        last = (np.arange(L)[None, :] == lengths[:, None] - 1).astype(np.float64)
+        z_t = ad.sum(states * Tensor(last[:, :, None]), axis=1)
         return z_t, states, mask
 
 

@@ -187,7 +187,8 @@ class GanFusionStack(Module):
             term = self.modules[f.name].generator_loss(f.z_g, saturating=saturating) \
                 + f.inner_loss
             j = term if j is None else j + term
-        return FusionOutput(z_fuse=z_fuse, j_fusion=j)
+        return FusionOutput(z_fuse=z_fuse, j_fusion=j,
+                            z_g={f.name: f.z_g for f in forwards})
 
     def fuse(self, bundle: LatentBundle, rng: np.random.Generator | None,
              saturating: bool = False) -> FusionOutput:

@@ -89,7 +89,6 @@ class Batch:
     video: np.ndarray | None = None
     labels: np.ndarray | None = None
     targets: np.ndarray | None = None       # (b, T), EOS-terminated, PAD-filled
-    topics: np.ndarray | None = None
 
 
 def encode_samples(samples: list[RawSample], cfg: ExperimentConfig,
@@ -114,7 +113,7 @@ def encode_samples(samples: list[RawSample], cfg: ExperimentConfig,
 
 
 def make_batch(rows: list[dict], cfg: ExperimentConfig) -> Batch:
-    b = Batch(topics=np.array([r["topic"] for r in rows]))
+    b = Batch()
     if "text" in cfg.modalities:
         lengths = np.array([len(r["text"]) for r in rows])
         L = int(lengths.max())
@@ -225,13 +224,17 @@ class FusionModel(layers.Module):
 
     def predict(self, batch: Batch) -> list:
         """Deterministic inference: GAN noise off, eval mode."""
+        return self._predict(batch)[0]
+
+    def _predict(self, batch: Batch) -> tuple[list, FusionOutput]:
+        """Predictions plus the fusion output they were made from."""
         bundle = self.encode(batch)
         fused = self.fuse(bundle, None)
         if self.cfg.task == "classification":
-            return list(self.head(fused.z_fuse).data.argmax(axis=1))
+            return list(self.head(fused.z_fuse).data.argmax(axis=1)), fused
         return self.decoder.decode_greedy(
             fused.z_fuse, bundle.text_states, bundle.text_mask,
-            self.cfg.max_decode_len)
+            self.cfg.max_decode_len), fused
 
     def non_discriminator_parameters(self) -> dict[str, Tensor]:
         disc = self.discriminator_parameters()
@@ -456,11 +459,10 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
     text_zg: list[np.ndarray] = []
     for start in range(0, len(rows), eval_batch):
         batch = make_batch(rows[start:start + eval_batch], cfg)
-        preds.extend(model.predict(batch))
-        if cfg.fusion == "gan" and "text" in cfg.modalities:
-            bundle = model.encode(batch)
-            fwd = model.fusion.modules["text"].gan_forward(bundle, None)
-            text_zg.append(fwd.z_g.data)
+        batch_preds, fused = model._predict(batch)
+        preds.extend(batch_preds)
+        if "text" in fused.z_g:
+            text_zg.append(fused.z_g["text"].data)
 
     metrics: dict[str, float] = {}
     if cfg.task == "classification":

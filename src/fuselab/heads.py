@@ -95,24 +95,16 @@ class AttentiveDecoder(Module):
         is SOS for j=0 else targets[:, j-1].
         """
         targets = np.asarray(targets, dtype=np.int64)
-        b, T = targets.shape
+        b = targets.shape[0]
+        inputs = np.concatenate([np.full((b, 1), SOS), targets[:, :-1]], axis=1)
         h, c = self.init_state(z_fuse)
-        prev = np.full(b, SOS, dtype=np.int64)
-        losses = []
-        counts = []
-        for j in range(T):
-            logits, h, c, _ = self.decode_step(prev, h, c, z_fuse, states, mask)
-            step_valid = int((targets[:, j] != PAD).sum())
-            if step_valid:
-                losses.append(
-                    softmax_cross_entropy(logits, targets[:, j], ignore_index=PAD)
-                    * Tensor(float(step_valid)))
-                counts.append(step_valid)
-            prev = np.where(targets[:, j] == PAD, prev, targets[:, j])
-        total = losses[0]
-        for piece in losses[1:]:
-            total = total + piece
-        return total * Tensor(1.0 / np.sum(counts))
+        logits = []
+        for prev in inputs.T:
+            step_logits, h, c, _ = self.decode_step(prev, h, c, z_fuse, states, mask)
+            logits.append(step_logits)
+        # rows are step-major: row j*b + i scores targets[i, j]
+        return softmax_cross_entropy(ad.concat(logits, axis=0),
+                                     targets.T.reshape(-1), ignore_index=PAD)
 
     def decode_greedy(self, z_fuse: Tensor, states: Tensor, mask: np.ndarray,
                       max_len: int) -> list[list[int]]:

@@ -114,6 +114,7 @@ def test_hostile_checkpoint_header_exit_code_2(workdir, tmp_path):
 @pytest.mark.parametrize("edit, message", [
     (lambda v: "nan," + v.split(",", 1)[1], "non-finite value in speech vector"),
     (lambda v: "1.0,2.0", "speech vector has 2 values"),
+    (lambda v: "abc," + v.split(",", 1)[1], "speech vector: could not convert"),
 ])
 def test_bad_speech_vector_exit_code_1(workdir, tmp_path, capsys, edit, message):
     lines = (workdir / "dsets" / "train.tsv").read_text().splitlines()

@@ -178,8 +178,8 @@ def test_dataset_bad_field_count(tmp_path):
         read_dataset(path)
 
 
-def _corrupt_vector(path, lineno, column, edit):
-    """Rewrite one speech (column 3) or video (column 4) vector of a file."""
+def _corrupt_field(path, lineno, column, edit):
+    """Rewrite one field of a file: topic (column 0), speech (3) or video (4)."""
     lines = path.read_text().splitlines()
     fields = lines[lineno - 1].split("\t")
     fields[column] = edit(fields[column])
@@ -192,11 +192,14 @@ def _corrupt_vector(path, lineno, column, edit):
     (4, lambda v: v + ",0.5", "video vector has 49 values"),
     (3, lambda v: "nan," + v.split(",", 1)[1], "non-finite value in speech"),
     (4, lambda v: v.rsplit(",", 1)[0] + ",-inf", "non-finite value in video"),
+    (3, lambda v: "abc," + v.split(",", 1)[1],
+     "speech vector: could not convert string to float: 'abc'"),
+    (0, lambda v: "x", "topic 'x' is not an integer"),
 ])
 def test_dataset_bad_vector_names_line(tmp_path, column, edit, message):
     path = tmp_path / "bad.tsv"
     write_dataset(path, gen_interaction_dataset(5, seed=13))
-    _corrupt_vector(path, 4, column, edit)
+    _corrupt_field(path, 4, column, edit)
     with pytest.raises(SchemaError, match=f"bad.tsv:4: {message}"):
         read_dataset(path)
 

@@ -35,6 +35,23 @@ def test_padding_invariance(rng):
     np.testing.assert_array_equal(mask[0], [1, 1, 1, 0, 0])
 
 
+def test_padding_gets_no_gradient(rng):
+    """Padding steps run through the cell but reach neither the outputs nor
+    any parameter gradient."""
+    enc = TextEncoder(vocab_size=10, embed_dim=4, hidden=5, rng=rng)
+
+    def grads(ids):
+        enc.zero_grads()
+        z, states, _ = enc(np.array([ids]), np.array([3]))
+        (ad.sum(z * z) + ad.sum(states)).backward()
+        return {n: t.grad.copy() for n, t in enc.parameters().items()}
+
+    short, padded = grads([4, 5, 6]), grads([4, 5, 6, 0, 9])
+    for name in short:
+        np.testing.assert_array_equal(short[name], padded[name], err_msg=name)
+    np.testing.assert_array_equal(padded["embed.table"][[0, 9]], 0.0)
+
+
 def test_out_of_vocab_rejected(rng):
     enc = TextEncoder(vocab_size=10, embed_dim=4, hidden=5, rng=rng)
     with pytest.raises(IndexError):

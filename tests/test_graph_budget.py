@@ -1,0 +1,59 @@
+"""Graph-size budgets for the translation path.
+
+Each added source or target step grows the graph by a fixed number of nodes;
+these tests pin that number so a change that adds per-step work shows up.
+"""
+
+import numpy as np
+
+from fuselab import autodiff as ad
+from fuselab.autodiff import Tensor
+from fuselab.encoders import TextEncoder
+from fuselab.heads import AttentiveDecoder
+from fuselab.vocab import EOS, PAD
+
+TEXT_NODES_PER_STEP = 19
+DECODER_NODES_PER_STEP = 31
+
+
+def graph_size(loss: Tensor) -> int:
+    """Tensors reachable from ``loss`` through grad-tracking parents."""
+    seen = {id(loss)}
+    stack = [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_text_encoder_nodes_per_source_step():
+    enc = TextEncoder(vocab_size=10, embed_dim=4, hidden=5,
+                      rng=np.random.default_rng(0))
+
+    def nodes(L):
+        ids = np.full((2, L), 4)
+        z, states, _ = enc(ids, np.array([L, 2]))
+        return graph_size(ad.sum(z) + ad.sum(states))
+
+    assert nodes(5) - nodes(4) <= TEXT_NODES_PER_STEP
+
+
+def test_teacher_forced_loss_nodes_per_target_step():
+    rng = np.random.default_rng(0)
+    dec = AttentiveDecoder(vocab_size=9, embed_dim=4, hidden=5, enc_hidden=6,
+                           d_fuse=3, rng=rng)
+    # as in a model, the encoder states and the fused vector carry gradients
+    states = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    z = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+
+    def nodes(T):
+        # row 0 fills all T steps; row 1 ends after two and is PAD after that
+        targets = np.full((2, T), PAD)
+        targets[0, :-1] = 5
+        targets[0, -1] = EOS
+        targets[1, :2] = [5, EOS]
+        return graph_size(dec.teacher_forced_loss(z, states, np.ones((2, 3)), targets))
+
+    assert nodes(5) - nodes(4) <= DECODER_NODES_PER_STEP

@@ -12,6 +12,7 @@ from fuselab import harness
 from fuselab.autodiff import Tensor
 from fuselab.config import ConfigError, ExperimentConfig
 from fuselab.layers import AdamState, adam_step, count_parameters
+from fuselab.metrics import silhouette
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,32 @@ def test_silhouette_only_for_gan(cls_paths):
         m = harness.evaluate_model(model, info,
                                    data_mod.read_dataset(cls_paths["test"]))
         assert ("silhouette" in m) is expect
+
+
+def test_eval_encodes_each_batch_once(mt_paths, monkeypatch):
+    """The silhouette's text z_g comes from the forward that predicts."""
+    samples = data_mod.read_dataset(mt_paths["test"])
+    cfg = quick_config(mt_paths, task="translation", fusion="gan")
+    info = harness.DataInfo.from_samples(
+        data_mod.read_dataset(mt_paths["train"]), cfg.task)
+    model = harness.FusionModel(cfg, info, np.random.default_rng(3))
+    model.eval()
+
+    calls = []
+    encode = harness.FusionModel.encode
+    monkeypatch.setattr(harness.FusionModel, "encode",
+                        lambda self, batch: calls.append(1) or encode(self, batch))
+    metrics = harness.evaluate_model(model, info, samples, eval_batch=10)
+    monkeypatch.undo()
+    n_batches = -(-len(samples) // 10)
+    assert n_batches > 1 and len(calls) == n_batches
+
+    rows = harness.encode_samples(samples, cfg, info)
+    z_g = [model.fusion.modules["text"].gan_forward(
+               model.encode(harness.make_batch(rows[i:i + 10], cfg)), None).z_g.data
+           for i in range(0, len(rows), 10)]
+    topics = np.array([s.topic for s in samples])
+    assert metrics["silhouette"] == silhouette(np.vstack(z_g), topics)
 
 
 def test_classification_metric_keys(cls_paths):

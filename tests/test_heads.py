@@ -116,6 +116,32 @@ def test_teacher_forced_loss_ignores_padding(rng):
     assert np.isfinite(loss.item())
 
 
+def test_teacher_forced_loss_matches_per_step_reference(rng):
+    """One cross-entropy over all steps equals the mean NLL over non-PAD
+    positions of a step-by-step decode that holds each row's last token."""
+    dec = make_decoder(rng)
+    states = Tensor(rng.normal(size=(3, 4, 6)))
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, 1, 0]], dtype=float)
+    z = Tensor(rng.normal(size=(3, 3)))
+    targets = np.array([[4, 5, 6, 7, EOS], [8, EOS, PAD, PAD, PAD],
+                        [6, 4, EOS, PAD, PAD]])
+
+    h, c = dec.init_state(z)
+    prev = np.full(3, SOS)
+    nll, count = 0.0, 0
+    for j in range(targets.shape[1]):
+        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        log_p = logits.data - logits.data.max(axis=1, keepdims=True)
+        log_p -= np.log(np.exp(log_p).sum(axis=1, keepdims=True))
+        valid = targets[:, j] != PAD
+        nll -= log_p[np.arange(3), targets[:, j]][valid].sum()
+        count += int(valid.sum())
+        prev = np.where(valid, targets[:, j], prev)
+
+    loss = dec.teacher_forced_loss(z, states, mask, targets)
+    assert loss.item() == pytest.approx(nll / count, rel=1e-12)
+
+
 def test_decoder_gradcheck(rng):
     dec = AttentiveDecoder(vocab_size=5, embed_dim=2, hidden=3, enc_hidden=3,
                            d_fuse=2, rng=rng)
