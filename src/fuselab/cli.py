@@ -102,7 +102,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     model, cfg, info = harness.model_from_checkpoint(
         ckpt_io.load_checkpoint(args.checkpoint))
-    samples = data_mod.read_dataset(args.dataset)
+    samples = harness.read_dataset_for(args.dataset, cfg, info)
     grid = [float(x) for x in args.p_grid.split(",")] if args.p_grid else None
     rows = harness.ablate(model, info, samples, p_grid=grid)
     out = args.out or os.path.join(cfg.output_root, "ablation.csv")

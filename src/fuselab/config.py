@@ -45,7 +45,6 @@ class ExperimentConfig:
     lambda1: float = 1.0
     lambda2: float = 1.0
     lr: float = 1e-3
-    disc_lr: float | None = None
     saturating_gan: bool = False
     dropout_p: float = 0.0
     epochs: int = 20
@@ -61,10 +60,6 @@ class ExperimentConfig:
     def __post_init__(self):
         self.modalities = tuple(dict.fromkeys(
             MODALITY_ALIASES.get(m, m) for m in self.modalities))
-
-    @property
-    def effective_disc_lr(self) -> float:
-        return self.lr / 2.0 if self.disc_lr is None else self.disc_lr
 
     @property
     def output_root(self) -> str:
@@ -95,8 +90,6 @@ class ExperimentConfig:
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return "none"
     if isinstance(v, tuple):
         return ",".join(v)
     return str(v)
@@ -116,8 +109,6 @@ def _parse_value(name: str, raw: str):
     default = getattr(ExperimentConfig, "__dataclass_fields__")[name].default
     if name == "modalities":
         return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if name == "disc_lr":
-        return None if raw.lower() == "none" else float(raw)
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
             raise ConfigError(f"{name}: expected true/false, got {raw!r}")

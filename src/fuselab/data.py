@@ -215,7 +215,7 @@ def read_dataset(path) -> list[RawSample]:
                 topic_id = int(topic)
             except ValueError:
                 raise SchemaError(f"{where}: topic {topic!r} is not an integer") from None
-            is_label = label_or_target.strip().lstrip("-").isdigit()
+            is_label = label_or_target.strip().isdigit()
             samples.append(RawSample(
                 topic=topic_id,
                 label=int(label_or_target) if is_label else None,

@@ -166,12 +166,6 @@ class GanFusionStack(Module):
         self.fc = self.add_child(
             "fc", Affine(self.d_r * len(present), d_fuse, rng))
 
-    def discriminator_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for m, mod in self.modules.items():
-            out.update(mod.discriminator.parameters(f"{m}.discriminator."))
-        return out
-
     def gan_forwards(self, bundle: LatentBundle,
                      rng: np.random.Generator | None) -> list[ModuleForward]:
         missing = [m for m in self.order if m not in bundle.latents]

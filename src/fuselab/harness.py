@@ -1,8 +1,8 @@
 """Training loop, evaluation, ablation sweeps, and run bookkeeping.
 
 The total objective per batch is lambda1 * J_fusion + lambda2 * J_task.
-With GAN fusion each batch first takes one discriminator step per module,
-then one Adam step over every non-discriminator parameter.
+With GAN fusion each batch first takes one discriminator Adam step per
+module at lr / 2, then one Adam step over every non-discriminator parameter.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ def encode_samples(samples: list[RawSample], cfg: ExperimentConfig,
     for s in samples:
         row: dict = {"topic": s.topic}
         if "text" in cfg.modalities:
-            if s.text_tokens is None:
-                raise ValueError("sample is missing the text modality")
             row["text"] = info.src_vocab.encode(s.text_tokens)
         if "speech" in cfg.modalities:
             row["speech"] = s.speech
@@ -237,14 +235,12 @@ class FusionModel(layers.Module):
             self.cfg.max_decode_len), fused
 
     def non_discriminator_parameters(self) -> dict[str, Tensor]:
-        disc = self.discriminator_parameters()
-        return {n: t for n, t in self.parameters().items() if n not in disc}
+        return {n: t for n, t in self.parameters().items()
+                if ".discriminator." not in n}
 
     def discriminator_parameters(self) -> dict[str, Tensor]:
-        if self.cfg.fusion != "gan":
-            return {}
-        return {"fusion." + n: t
-                for n, t in self.fusion.discriminator_parameters().items()}
+        return {n: t for n, t in self.parameters().items()
+                if ".discriminator." in n}
 
 
 @dataclass
@@ -292,9 +288,9 @@ def _task_metric(cfg: ExperimentConfig, metrics: dict[str, float]) -> float:
 
 def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
     cfg.validate()
-    train_raw = read_dataset(cfg.train_path)
-    val_raw = read_dataset(cfg.val_path)
+    train_raw = read_dataset_for(cfg.train_path, cfg)
     info = DataInfo.from_samples(train_raw, cfg.task)
+    val_raw = read_dataset_for(cfg.val_path, cfg, info)
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     init_rng = np.random.default_rng(seeds[0])
@@ -312,7 +308,7 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
 
     rows = encode_samples(train_raw, cfg, info)
     opt = AdamState(lr=cfg.lr)
-    disc_opt = AdamState(lr=cfg.effective_disc_lr)
+    disc_opt = AdamState(lr=cfg.lr / 2.0)
     main_params = model.non_discriminator_parameters()
     disc_params = model.discriminator_parameters()
 
@@ -486,17 +482,34 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
 def evaluate_checkpoint(path, dataset_path, word_drop_p: float = 0.0,
                         drop_seed: int = 0) -> dict[str, float]:
     model, cfg, info = model_from_checkpoint(ckpt_io.load_checkpoint(path))
-    samples = read_dataset(dataset_path)
-    _validate_dataset_kind(cfg, samples)
+    samples = read_dataset_for(dataset_path, cfg, info)
     return evaluate_model(model, info, samples, word_drop_p=word_drop_p,
                           drop_seed=drop_seed)
 
 
-def _validate_dataset_kind(cfg: ExperimentConfig, samples: list[RawSample]) -> None:
-    if cfg.task == "classification" and any(s.label is None for s in samples):
-        raise ConfigError("classification checkpoint given a translation dataset")
-    if cfg.task == "translation" and any(s.target_tokens is None for s in samples):
-        raise ConfigError("translation checkpoint given a classification dataset")
+def read_dataset_for(path, cfg: ExperimentConfig,
+                     info: DataInfo | None = None) -> list[RawSample]:
+    """read_dataset, then check that every row has what the task and the
+    modalities of cfg need and, given info, the vector widths the model was
+    built for. A dataset that does not fit raises ConfigError."""
+    samples = read_dataset(path)
+    if not samples:
+        raise ConfigError(f"{path}: no samples")
+    need, what = (("label", "class label") if cfg.task == "classification"
+                  else ("target_tokens", "target sentence"))
+    widths = {} if info is None else {"speech": info.speech_dim,
+                                      "video": info.video_dim}
+    for lineno, s in enumerate(samples, start=2):
+        if getattr(s, need) is None:
+            raise ConfigError(f"{path}:{lineno}: {cfg.task} needs a {what}")
+        for m in cfg.modalities:
+            value = getattr(s, "text_tokens" if m == "text" else m)
+            if value is None:
+                raise ConfigError(f"{path}:{lineno}: the {m} column is empty")
+            if len(value) != widths.get(m, len(value)):
+                raise ConfigError(f"{path}:{lineno}: {m} vector has {len(value)} "
+                                  f"values, the model expects {widths[m]}")
+    return samples
 
 
 def ablate(model: FusionModel, info: DataInfo, samples: list[RawSample],

@@ -22,6 +22,8 @@ from fuselab.gradcheck import gradcheck_cases, run_gradchecks
 from fuselab.layers import adam_step, AdamState
 from fuselab.metrics import classification_report, corpus_bleu
 
+pytestmark = pytest.mark.acceptance
+
 
 # =====================================================================
 # criterion 1: gradient integrity

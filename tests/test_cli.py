@@ -131,6 +131,77 @@ def test_bad_speech_vector_exit_code_1(workdir, tmp_path, capsys, edit, message)
     assert f"{bad}:6: {message}" in capsys.readouterr().err
 
 
+def _edit_column(src, dst, column, edit):
+    lines = src.read_text().splitlines()
+    for i in range(1, len(lines)):
+        fields = lines[i].split("\t")
+        fields[column] = edit(fields[column])
+        lines[i] = "\t".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def misfit_paths(workdir):
+    """Datasets that parse but do not fit a config, and a translation
+    checkpoint with 16-wide speech vectors."""
+    root = workdir / "misfit"
+    assert main(["gen-data", "--kind", "interaction", "--n", "40",
+                 "--out", str(root), "--prefix", "cls_"]) == 0
+    mt = workdir / "dsets"
+    _edit_column(mt / "train.tsv", root / "no_text.tsv", 2, lambda v: "")
+    _edit_column(root / "cls_train.tsv", root / "no_speech.tsv", 3, lambda v: "")
+    _edit_column(root / "cls_train.tsv", root / "negative.tsv", 1, lambda v: "-1")
+    _edit_column(mt / "test.tsv", root / "narrow.tsv", 3,
+                 lambda v: ",".join(v.split(",")[:3]))
+    (root / "empty.tsv").write_text(SCHEMA_HEADER + "\n")
+    assert main(["train", "--task", "translation", "--fusion", "concat",
+                 "--epochs", "1", "--train-path", str(mt / "train.tsv"),
+                 "--val-path", str(mt / "val.tsv"), "--out-dir", str(root)]) == 0
+    return {"mt": str(mt / "train.tsv"), "mt_val": str(mt / "val.tsv"),
+            "cls": str(root / "cls_train.tsv"), "cls_val": str(root / "cls_val.tsv"),
+            "no_text": str(root / "no_text.tsv"),
+            "no_speech": str(root / "no_speech.tsv"),
+            "negative": str(root / "negative.tsv"),
+            "narrow": str(root / "narrow.tsv"), "empty": str(root / "empty.tsv"),
+            "ckpt": str(root / "checkpoint.bin")}
+
+
+TRAIN = ["train", "--epochs", "1", "--out-dir", "{out}"]
+MISFITS = {
+    "classification_on_translation_tsv": (TRAIN + [
+        "--task", "classification", "--train-path", "{mt}", "--val-path", "{mt_val}"], "mt"),
+    "translation_on_classification_tsv": (TRAIN + [
+        "--task", "translation", "--train-path", "{cls}", "--val-path", "{cls_val}"], "cls"),
+    "translation_with_classification_val": (TRAIN + [
+        "--task", "translation", "--train-path", "{mt}", "--val-path", "{cls_val}"], "cls_val"),
+    "empty_text_column": (TRAIN + [
+        "--task", "translation", "--train-path", "{no_text}", "--val-path", "{mt_val}"],
+        "no_text"),
+    "empty_speech_column": (TRAIN + [
+        "--task", "classification", "--modalities", "video,speech",
+        "--train-path", "{no_speech}", "--val-path", "{cls_val}"], "no_speech"),
+    "negative_class_label": (TRAIN + [
+        "--task", "classification", "--train-path", "{negative}", "--val-path", "{cls_val}"],
+        "negative"),
+    "empty_train_set": (TRAIN + [
+        "--task", "translation", "--train-path", "{empty}", "--val-path", "{mt_val}"], "empty"),
+    "ablate_translation_on_classification_tsv": (
+        ["ablate", "--checkpoint", "{ckpt}", "--dataset", "{cls}",
+         "--out", "{out}/abl.csv"], "cls"),
+    "eval_narrow_speech": (
+        ["eval", "--checkpoint", "{ckpt}", "--dataset", "{narrow}"], "narrow"),
+}
+
+
+@pytest.mark.parametrize("argv, bad", MISFITS.values(), ids=list(MISFITS))
+def test_dataset_misfit_exit_code_1(misfit_paths, tmp_path, capsys, argv, bad):
+    paths = dict(misfit_paths, out=str(tmp_path))
+    rc = main([a.format(**paths) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"config error: {paths[bad]}:")
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--repeats", "1"]) == 0
     out = capsys.readouterr().out

@@ -20,8 +20,8 @@ def test_duplicate_modalities_collapse():
 
 def test_text_round_trip():
     cfg = ExperimentConfig(task="translation", fusion="gan", lambda1=0.5,
-                           disc_lr=3e-4, saturating_gan=True,
-                           modalities=("s", "t"), train_path="/x/y.tsv")
+                           saturating_gan=True, modalities=("s", "t"),
+                           train_path="/x/y.tsv")
     back = parse_config_text(config_to_text(cfg))
     assert back == cfg
 
@@ -44,14 +44,6 @@ def test_parse_bad_bool_rejected():
 def test_parse_missing_equals_rejected():
     with pytest.raises(ConfigError):
         parse_config_text("just some words\n")
-
-
-def test_disc_lr_none_round_trip():
-    cfg = parse_config_text("disc_lr = none\n")
-    assert cfg.disc_lr is None
-    assert cfg.effective_disc_lr == cfg.lr / 2.0
-    cfg2 = parse_config_text("disc_lr = 0.002\n")
-    assert cfg2.effective_disc_lr == 0.002
 
 
 @pytest.mark.parametrize("text", [

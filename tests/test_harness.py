@@ -117,6 +117,9 @@ def test_discriminator_frozen_during_task_step(cls_paths):
     batch = harness.make_batch(harness.encode_samples(samples, cfg, info), cfg)
     opt = AdamState(lr=cfg.lr)
     main_params = model.non_discriminator_parameters()
+    assert set(model.discriminator_parameters()) == {
+        f"fusion.{m}.discriminator.fc{k}.{p}" for m in cfg.modalities
+        for k in (1, 2) for p in "Wb"}
 
     def disc_hash():
         h = hashlib.sha256()
@@ -193,6 +196,12 @@ def test_rng_streams_saved_and_restorable(cls_paths):
     for name in ("shuffle", "noise", "dropout"):
         gen = ckpt_io.generator_state_from_array(ckpt.rng[name])
         assert isinstance(gen.normal(), float)
+
+
+def test_discriminator_adam_at_half_lr(cls_paths):
+    ckpt, _ = harness.train(quick_config(cls_paths, fusion="gan", lr=4e-3))
+    assert ckpt.optimizer["adam.hyper"][0] == 4e-3
+    assert ckpt.optimizer["adam_disc.hyper"][0] == 2e-3
 
 
 # -- evaluation and ablation -------------------------------------------------
