@@ -62,8 +62,10 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: g may be a view of another node's gradient
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -189,9 +191,16 @@ def tanh(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1.
+    The numerator max(e, [x >= 0]) picks between 1 and e without a branch,
+    which a select on random signs would mispredict."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0.0) / (1.0 + e)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    e = np.exp(-np.abs(x.data))
-    out_data = np.where(x.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out_data = _sigmoid(x.data)
 
     def bw(g):
         x._accumulate(g * out_data * (1.0 - out_data))

@@ -29,7 +29,7 @@ class LatentBundle:
 
 
 class TextEncoder(Module):
-    """Embedding lookup + unrolled LSTM; summary latent taken at true lengths."""
+    """Embedding lookup + LSTM sequence; summary latent taken at true lengths."""
 
     def __init__(self, vocab_size: int, embed_dim: int, hidden: int,
                  rng: np.random.Generator):
@@ -49,12 +49,8 @@ class TextEncoder(Module):
 
         # The LSTM is causal: steps past a row's length never reach its earlier
         # states, so padding runs through the cell and is masked out afterwards.
-        h, c = self.cell.zero_state(b)
-        per_step: list[Tensor] = []
-        for step in range(L):
-            h, c = self.cell(self.embed(token_ids[:, step]), h, c)
-            per_step.append(ad.reshape(h, (b, 1, self.hidden)))
-        states = ad.concat(per_step, axis=1) * Tensor(mask[:, :, None])
+        hc = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(b))
+        states = ad.narrow(hc, 2, 0, self.hidden) * Tensor(mask[:, :, None])
         last = (np.arange(L)[None, :] == lengths[:, None] - 1).astype(np.float64)
         z_t = ad.sum(states * Tensor(last[:, :, None]), axis=1)
         return z_t, states, mask

@@ -14,6 +14,7 @@ from .encoders import LatentBundle
 from .ganfusion import GanFusionModule, clamped_log
 from .heads import AttentiveDecoder
 from .layers import Affine, LSTMCell
+from .vocab import EOS, PAD
 
 
 def numeric_grad(fn, tensors: list[Tensor], wrt: int, h: float = 1e-5) -> np.ndarray:
@@ -159,6 +160,16 @@ def gradcheck_cases():
 
         return (fn, [x, h, c, cell.W, cell.U, cell.b])
 
+    def build_lstm_sequence(rng):
+        cell = LSTMCell(2, 2, rng)
+        x, h0, c0 = t(rng, 2, 3, 2), t(rng, 2, 2), t(rng, 2, 2)
+        w = Tensor(rng.normal(size=(2, 3, 4)))  # weighs the h and the c half
+
+        def fn(ts):
+            return ad.sum(ad.square(cell.sequence(ts[0], ts[1], ts[2])) * w)
+
+        return (fn, [x, h0, c0, cell.W, cell.U, cell.b])
+
     def build_attention_step(rng):
         dec = AttentiveDecoder(5, 2, 2, 2, 2, rng)
         z = t(rng, 2, 2)
@@ -173,6 +184,18 @@ def gradcheck_cases():
 
         params = [z, states, dec.attn_W, dec.bridge.W, dec.out.W]
         return (fn, params)
+
+    def build_teacher_forced_loss(rng):
+        dec = AttentiveDecoder(5, 2, 2, 2, 2, rng)
+        z = t(rng, 2, 2)
+        states = t(rng, 2, 3, 2)
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        targets = np.array([[3, 4, EOS], [4, EOS, PAD]])
+
+        def fn(ts):
+            return dec.teacher_forced_loss(ts[0], ts[1], mask, targets)
+
+        return (fn, [z, states] + list(dec.parameters().values()))
 
     def build_autofusion(rng):
         net = AutoFusionNet([2, 3], 2, rng)
@@ -220,7 +243,9 @@ def gradcheck_cases():
         ("sum", build_sum_axis), ("mean", build_mean), ("max", build_max),
         ("softmax", build_softmax), ("clamped_log", build_clamped_log),
         ("affine", build_affine), ("lstm_step", build_lstm_step),
+        ("lstm_sequence", build_lstm_sequence),
         ("attention_step", build_attention_step),
+        ("teacher_forced_loss", build_teacher_forced_loss),
         ("autofusion", build_autofusion), ("ganfusion", build_ganfusion),
         ("discriminator_loss", build_discriminator_loss),
     ]

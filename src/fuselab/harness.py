@@ -490,8 +490,8 @@ def evaluate_checkpoint(path, dataset_path, word_drop_p: float = 0.0,
 def read_dataset_for(path, cfg: ExperimentConfig,
                      info: DataInfo | None = None) -> list[RawSample]:
     """read_dataset, then check that every row has what the task and the
-    modalities of cfg need and, given info, the vector widths the model was
-    built for. A dataset that does not fit raises ConfigError."""
+    modalities of cfg need and, given info, the vector widths and class count
+    the model was built for. A dataset that does not fit raises ConfigError."""
     samples = read_dataset(path)
     if not samples:
         raise ConfigError(f"{path}: no samples")
@@ -502,6 +502,9 @@ def read_dataset_for(path, cfg: ExperimentConfig,
     for lineno, s in enumerate(samples, start=2):
         if getattr(s, need) is None:
             raise ConfigError(f"{path}:{lineno}: {cfg.task} needs a {what}")
+        if info is not None and need == "label" and s.label >= info.n_classes:
+            raise ConfigError(f"{path}:{lineno}: class label {s.label} out of "
+                              f"range [0, {info.n_classes})")
         for m in cfg.modalities:
             value = getattr(s, "text_tokens" if m == "text" else m)
             if value is None:

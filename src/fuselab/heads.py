@@ -65,46 +65,60 @@ class AttentiveDecoder(Module):
         c0 = Tensor(np.zeros(h0.shape))
         return h0, c0
 
+    def _inputs(self, ids: np.ndarray, z_fuse: Tensor) -> Tensor:
+        """LSTM inputs (b, T, d_in) for token ids (b, T)."""
+        x = self.embed(ids)
+        if not self.condition_every_step:
+            return x
+        b, T = ids.shape
+        z = ad.reshape(z_fuse, (b, 1, self.d_fuse)) * Tensor(np.ones((1, T, 1)))
+        return ad.concat([x, z], axis=2)
+
+    def _readout(self, hs: Tensor, states: Tensor, mask: np.ndarray
+                 ) -> tuple[Tensor, Tensor]:
+        """Attention of every decoder state hs (b, T, h) over the encoder
+        states (b, L, eh), then the output layer: returns (logits (b*T, V),
+        attention weights (b, T, L)). Row i*T + j of the logits is step j of
+        batch row i."""
+        if np.any(mask.sum(axis=1) == 0):
+            raise ValueError("attention has no unmasked source position")
+        b, T, hd = hs.shape
+        eh = states.shape[2]
+        q = ad.reshape(ad.matmul(ad.reshape(hs, (b * T, hd)), self.attn_W), (b, T, eh))
+        scores = ad.bmm(q, ad.transpose(states, (0, 2, 1)))          # (b, T, L)
+        scores = scores + Tensor(np.where(mask > 0.0, 0.0, -1e9)[:, None, :])
+        weights = ad.softmax(scores, axis=2)
+        context = ad.bmm(weights, states)                              # (b, T, eh)
+        feats = ad.reshape(ad.concat([hs, context], axis=2), (b * T, hd + eh))
+        return self.out(feats), weights
+
     def decode_step(self, prev_tokens: np.ndarray, h: Tensor, c: Tensor,
                     z_fuse: Tensor, states: Tensor, mask: np.ndarray
                     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """One step: returns (logits (b,V), h', c', attention weights (b,L))."""
-        if np.any(mask.sum(axis=1) == 0):
-            raise ValueError("attention has no unmasked source position")
-        x = self.embed(np.asarray(prev_tokens))
-        if self.condition_every_step:
-            x = ad.concat([x, z_fuse], axis=1)
-        h_new, c_new = self.cell(x, h, c)
-
-        b, L, eh = states.shape
-        q = ad.matmul(h_new, self.attn_W)                      # (b, eh)
-        scores = ad.reshape(ad.bmm(states, ad.reshape(q, (b, eh, 1))), (b, L))
-        scores = scores + Tensor(np.where(mask > 0.0, 0.0, -1e9))
-        weights = ad.softmax(scores, axis=1)
-        context = ad.reshape(
-            ad.bmm(ad.transpose(states, (0, 2, 1)), ad.reshape(weights, (b, L, 1))),
-            (b, eh))
-        logits = self.out(ad.concat([h_new, context], axis=1))
-        return logits, h_new, c_new, weights
+        prev_tokens = np.asarray(prev_tokens)
+        b = prev_tokens.shape[0]
+        x = self._inputs(prev_tokens[:, None], z_fuse)
+        h_new, c_new = self.cell(ad.reshape(x, (b, x.shape[2])), h, c)
+        logits, weights = self._readout(ad.reshape(h_new, (b, 1, self.hidden)),
+                                        states, mask)
+        return logits, h_new, c_new, ad.reshape(weights, (b, states.shape[1]))
 
     def teacher_forced_loss(self, z_fuse: Tensor, states: Tensor,
                             mask: np.ndarray, targets: np.ndarray) -> Tensor:
         """Mean cross-entropy over non-PAD target positions.
 
         targets: (b, T) token ids ending in EOS then PAD; the input at step j
-        is SOS for j=0 else targets[:, j-1].
+        is SOS for j=0 else targets[:, j-1]. The inputs are known up front and
+        attention does not feed back into the LSTM, so all T steps run as one
+        LSTM sequence, one batched attention and one output layer.
         """
         targets = np.asarray(targets, dtype=np.int64)
         b = targets.shape[0]
         inputs = np.concatenate([np.full((b, 1), SOS), targets[:, :-1]], axis=1)
-        h, c = self.init_state(z_fuse)
-        logits = []
-        for prev in inputs.T:
-            step_logits, h, c, _ = self.decode_step(prev, h, c, z_fuse, states, mask)
-            logits.append(step_logits)
-        # rows are step-major: row j*b + i scores targets[i, j]
-        return softmax_cross_entropy(ad.concat(logits, axis=0),
-                                     targets.T.reshape(-1), ignore_index=PAD)
+        hc = self.cell.sequence(self._inputs(inputs, z_fuse), *self.init_state(z_fuse))
+        logits, _ = self._readout(ad.narrow(hc, 2, 0, self.hidden), states, mask)
+        return softmax_cross_entropy(logits, targets.reshape(-1), ignore_index=PAD)
 
     def decode_greedy(self, z_fuse: Tensor, states: Tensor, mask: np.ndarray,
                       max_len: int) -> list[list[int]]:

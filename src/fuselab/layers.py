@@ -109,7 +109,7 @@ class Embedding(Module):
 
 
 class LSTMCell(Module):
-    """Single LSTM step. Gate order i, f, o, g; forget-gate bias starts at 1."""
+    """LSTM recurrence. Gate order i, f, o, g; forget-gate bias starts at 1."""
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -122,19 +122,69 @@ class LSTMCell(Module):
         self.b = self.add_param("b", b)
 
     def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        if x.shape[1] != self.d_in or h.shape[1] != self.d_hidden:
-            raise DimensionError(
-                f"lstm_step got x{x.shape}, h{h.shape}; expected widths "
-                f"({self.d_in}, {self.d_hidden})")
+        """One step from x (b, d_in): returns (h', c')."""
+        b, hd = x.shape[0], self.d_hidden
+        hc = ad.reshape(self.sequence(ad.reshape(x, (b, 1, x.shape[1])), h, c), (b, 2 * hd))
+        return ad.narrow(hc, 1, 0, hd), ad.narrow(hc, 1, hd, hd)
+
+    def sequence(self, x: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
+        """Every step over x (b, L, d_in) from state (h0, c0), as one graph
+        node: returns (b, L, 2h) holding [h_t; c_t] for each step t.
+
+        The input projection of all b*L rows is one GEMM, leaving one h @ U
+        per step; the backward runs backpropagation through time in numpy.
+        """
         hd = self.d_hidden
-        gates = ad.matmul(x, self.W) + ad.matmul(h, self.U) + self.b
-        i = ad.sigmoid(ad.narrow(gates, 1, 0, hd))
-        f = ad.sigmoid(ad.narrow(gates, 1, hd, hd))
-        o = ad.sigmoid(ad.narrow(gates, 1, 2 * hd, hd))
-        g = ad.tanh(ad.narrow(gates, 1, 3 * hd, hd))
-        c_next = f * c + i * g
-        h_next = o * ad.tanh(c_next)
-        return h_next, c_next
+        if x.data.ndim != 3 or x.shape[2] != self.d_in or h0.shape != (x.shape[0], hd) \
+                or c0.shape != h0.shape:
+            raise DimensionError(
+                f"lstm got x{x.shape}, h{h0.shape}, c{c0.shape}; expected widths "
+                f"({self.d_in}, {hd})")
+        b, L, d = x.shape
+        W, U, bias = self.W, self.U, self.b
+        # time-major buffers, so each step reads and writes contiguous rows
+        x_rows = x.data.transpose(1, 0, 2).reshape(L * b, d)
+        xw = (x_rows @ W.data).reshape(L, b, 4 * hd)
+        acts = np.empty((L, b, 4 * hd))     # i, f, o, g after their nonlinearity
+        tanh_c = np.empty((L, b, hd))
+        hc = np.empty((L + 1, b, 2 * hd))   # [h; c] before step 0, then after each
+        hc[0, :, :hd], hc[0, :, hd:] = h0.data, c0.data
+        for t in range(L):
+            gates = xw[t] + hc[t, :, :hd] @ U.data + bias.data
+            a = acts[t]
+            a[:, :3 * hd] = ad._sigmoid(gates[:, :3 * hd])
+            np.tanh(gates[:, 3 * hd:], out=a[:, 3 * hd:])
+            c = a[:, hd:2 * hd] * hc[t, :, hd:] + a[:, :hd] * a[:, 3 * hd:]
+            np.tanh(c, out=tanh_c[t])
+            hc[t + 1, :, hd:] = c
+            np.multiply(a[:, 2 * hd:3 * hd], tanh_c[t], out=hc[t + 1, :, :hd])
+        out = hc[1:].transpose(1, 0, 2)
+
+        def bw(g):
+            g = g.transpose(1, 0, 2)
+            d_gates = np.empty((L, b, 4 * hd))
+            dh, dc = np.zeros((b, hd)), np.zeros((b, hd))
+            for t in reversed(range(L)):
+                i, f, o, gg = (acts[t, :, k * hd:(k + 1) * hd] for k in range(4))
+                tc = tanh_c[t]
+                dh = dh + g[t, :, :hd]
+                dc = dc + g[t, :, hd:] + dh * o * (1.0 - tc * tc)
+                dg = d_gates[t]
+                dg[:, :hd] = dc * gg * i * (1.0 - i)
+                dg[:, hd:2 * hd] = dc * hc[t, :, hd:] * f * (1.0 - f)
+                dg[:, 2 * hd:3 * hd] = dh * tc * o * (1.0 - o)
+                dg[:, 3 * hd:] = dc * i * (1.0 - gg * gg)
+                dh, dc = dg @ U.data.T, dc * f
+            flat = d_gates.reshape(L * b, 4 * hd)
+            if x.requires_grad:
+                x._accumulate((flat @ W.data.T).reshape(L, b, d).transpose(1, 0, 2))
+            W._accumulate(x_rows.T @ flat)
+            U._accumulate(hc[:-1, :, :hd].reshape(L * b, hd).T @ flat)
+            bias._accumulate(flat.sum(axis=0))
+            h0._accumulate(dh)
+            c0._accumulate(dc)
+
+        return ad._make(out, (x, h0, c0, W, U, bias), bw)
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         z = np.zeros((batch, self.d_hidden))

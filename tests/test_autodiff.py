@@ -132,6 +132,21 @@ def test_grad_accumulates_across_backward_calls():
     assert x.grad[0] == 8.0
 
 
+def test_first_gradient_is_not_aliased():
+    """reshape hands its parent a view of its own gradient; the parent's
+    second gradient must not write through that view into the child's."""
+    x = rand(np.random.default_rng(0), 3, 4)
+    y = ad.reshape(x, (2, 6))
+    loss = ad.sum(ad.square(y)) + ad.sum(x * Tensor(3.0))
+    loss.backward()
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data + 3.0)
+    first = x.grad.copy()
+    ad.sum(ad.reshape(x, (12,))).backward()     # a fresh graph accumulates on top
+    np.testing.assert_array_equal(x.grad, first + 1.0)
+    np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_five_layer_composite_gradcheck(seed):
     rng = np.random.default_rng(seed)

@@ -142,8 +142,8 @@ def _edit_column(src, dst, column, edit):
 
 @pytest.fixture(scope="module")
 def misfit_paths(workdir):
-    """Datasets that parse but do not fit a config, and a translation
-    checkpoint with 16-wide speech vectors."""
+    """Datasets that parse but do not fit a config, a translation checkpoint
+    with 16-wide speech vectors and a classification checkpoint."""
     root = workdir / "misfit"
     assert main(["gen-data", "--kind", "interaction", "--n", "40",
                  "--out", str(root), "--prefix", "cls_"]) == 0
@@ -151,19 +151,26 @@ def misfit_paths(workdir):
     _edit_column(mt / "train.tsv", root / "no_text.tsv", 2, lambda v: "")
     _edit_column(root / "cls_train.tsv", root / "no_speech.tsv", 3, lambda v: "")
     _edit_column(root / "cls_train.tsv", root / "negative.tsv", 1, lambda v: "-1")
+    _edit_column(root / "cls_val.tsv", root / "big_label.tsv", 1, lambda v: "7")
     _edit_column(mt / "test.tsv", root / "narrow.tsv", 3,
                  lambda v: ",".join(v.split(",")[:3]))
     (root / "empty.tsv").write_text(SCHEMA_HEADER + "\n")
     assert main(["train", "--task", "translation", "--fusion", "concat",
                  "--epochs", "1", "--train-path", str(mt / "train.tsv"),
                  "--val-path", str(mt / "val.tsv"), "--out-dir", str(root)]) == 0
+    assert main(["train", "--task", "classification", "--fusion", "concat",
+                 "--epochs", "1", "--train-path", str(root / "cls_train.tsv"),
+                 "--val-path", str(root / "cls_val.tsv"),
+                 "--out-dir", str(root / "cls_run")]) == 0
     return {"mt": str(mt / "train.tsv"), "mt_val": str(mt / "val.tsv"),
             "cls": str(root / "cls_train.tsv"), "cls_val": str(root / "cls_val.tsv"),
             "no_text": str(root / "no_text.tsv"),
             "no_speech": str(root / "no_speech.tsv"),
             "negative": str(root / "negative.tsv"),
+            "big_label": str(root / "big_label.tsv"),
             "narrow": str(root / "narrow.tsv"), "empty": str(root / "empty.tsv"),
-            "ckpt": str(root / "checkpoint.bin")}
+            "ckpt": str(root / "checkpoint.bin"),
+            "cls_ckpt": str(root / "cls_run" / "checkpoint.bin")}
 
 
 TRAIN = ["train", "--epochs", "1", "--out-dir", "{out}"]
@@ -183,6 +190,9 @@ MISFITS = {
     "negative_class_label": (TRAIN + [
         "--task", "classification", "--train-path", "{negative}", "--val-path", "{cls_val}"],
         "negative"),
+    "val_label_beyond_train_classes": (TRAIN + [
+        "--task", "classification", "--train-path", "{cls}", "--val-path", "{big_label}"],
+        "big_label"),
     "empty_train_set": (TRAIN + [
         "--task", "translation", "--train-path", "{empty}", "--val-path", "{mt_val}"], "empty"),
     "ablate_translation_on_classification_tsv": (
@@ -190,6 +200,8 @@ MISFITS = {
          "--out", "{out}/abl.csv"], "cls"),
     "eval_narrow_speech": (
         ["eval", "--checkpoint", "{ckpt}", "--dataset", "{narrow}"], "narrow"),
+    "eval_label_beyond_checkpoint_classes": (
+        ["eval", "--checkpoint", "{cls_ckpt}", "--dataset", "{big_label}"], "big_label"),
 }
 
 

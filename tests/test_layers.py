@@ -71,6 +71,40 @@ def test_lstm_unrolled_gradcheck(rng):
     check_gradients(fn, xs + [cell.W, cell.U, cell.b])
 
 
+def _lstm_composite(cell, x, h, c):
+    """cell.sequence written step by step with autodiff ops."""
+    b, L, d = x.shape
+    hd = cell.d_hidden
+    out = []
+    for t in range(L):
+        x_t = ad.reshape(ad.narrow(x, 1, t, 1), (b, d))
+        gates = ad.matmul(x_t, cell.W) + ad.matmul(h, cell.U) + cell.b
+        i, f, o = (ad.sigmoid(ad.narrow(gates, 1, k * hd, hd)) for k in range(3))
+        g = ad.tanh(ad.narrow(gates, 1, 3 * hd, hd))
+        c = f * c + i * g
+        h = o * ad.tanh(c)
+        out.append(ad.reshape(ad.concat([h, c], axis=1), (b, 1, 2 * hd)))
+    return ad.concat(out, axis=1)
+
+
+def test_lstm_sequence_matches_step_composite(rng):
+    cell = layers.LSTMCell(3, 4, rng)
+    x = Tensor(rng.uniform(-2, 2, size=(2, 5, 3)), requires_grad=True)
+    h0 = Tensor(rng.uniform(-1, 1, size=(2, 4)), requires_grad=True)
+    c0 = Tensor(rng.uniform(-1, 1, size=(2, 4)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(2, 5, 8)))  # scores the h and the c half
+    inputs = [x, h0, c0, cell.W, cell.U, cell.b]
+    runs = []
+    for forward in (cell.sequence, lambda *a: _lstm_composite(cell, *a)):
+        for t in inputs:
+            t.zero_grad()
+        out = forward(x, h0, c0)
+        ad.sum(out * weight).backward()
+        runs.append([out.data] + [t.grad for t in inputs])
+    for fused, composite in zip(*runs):
+        np.testing.assert_allclose(fused, composite, rtol=0, atol=1e-10)
+
+
 def test_cross_entropy_uniform():
     logits = Tensor(np.zeros((3, 8)), requires_grad=True)
     loss = layers.softmax_cross_entropy(logits, np.array([0, 3, 7]))
