@@ -1,7 +1,8 @@
 """Command line entry point.
 
 Subcommands: gen-data, train, eval, ablate, gradcheck, sweep. Exit codes:
-0 on success, 1 on configuration errors, 2 on runtime or numeric failures.
+0 on success, 1 on configuration and usage errors, 2 on runtime or numeric
+failures.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from .config import (ConfigError, ExperimentConfig, load_config_file,
                      parse_config_text)
 from .data import SchemaError
 from .gradcheck import gradcheck_cases, run_gradchecks
+
+
+class _Parser(argparse.ArgumentParser):
+    """An unknown flag or a bad flag value is a configuration error: exit 1,
+    not argparse's 2. Subcommand parsers inherit this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -149,7 +159,7 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fuselab",
         description="Adaptive multimodal fusion experiments")
     sub = parser.add_subparsers(dest="command", required=True)

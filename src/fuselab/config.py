@@ -21,22 +21,9 @@ class ExperimentConfig:
     modalities: tuple[str, ...] = ("video", "speech", "text")
     fusion: str = "auto"
 
-    # encoder dims
-    text_embed: int = 16
-    text_hidden: int = 64
-    speech_latent: int = 32
-    video_latent: int = 32
-
-    # fusion dims
-    d_fuse: int = 32
+    # fusion and heads; the layer widths are constants in harness.py
     d_noise: int = 8
     noise_sigma: float = 1.0
-    disc_hidden: int = 32
-
-    # heads
-    head_hidden: int = 64
-    dec_embed: int = 24
-    dec_hidden: int = 64
     max_decode_len: int = 16
     classification_loss: str = "cross_entropy"
     condition_every_step: bool = False
@@ -101,23 +88,26 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(name: str, raw: str, lineno: int):
     raw = raw.strip()
     types = {f.name: f for f in fields(ExperimentConfig)}
     if name not in types:
         raise ConfigError(f"unknown config key {name!r}")
-    default = getattr(ExperimentConfig, "__dataclass_fields__")[name].default
+    default = types[name].default
     if name == "modalities":
         return tuple(x.strip() for x in raw.split(",") if x.strip())
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
-            raise ConfigError(f"{name}: expected true/false, got {raw!r}")
+            raise ConfigError(f"line {lineno}: {name}: expected true/false, got {raw!r}")
         return raw.lower() == "true"
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    expected = {int: "an integer", float: "a float"}.get(type(default))
+    if expected is None:
+        return raw
+    try:
+        return type(default)(raw)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {name}: expected {expected}, "
+                          f"got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -131,7 +121,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        setattr(cfg, key, _parse_value(key, raw))
+        setattr(cfg, key, _parse_value(key, raw, lineno))
     cfg.__post_init__()
     return cfg
 

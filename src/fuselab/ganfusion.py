@@ -90,7 +90,6 @@ class GanFusionModule(Module):
                 f"target {target!r} has no complementary modality")
         self.target = target
         self.d_noise = d_noise
-        self.d_r = d_r
         self.noise_sigma = noise_sigma
         self.complement_names = [n for n, _ in complements]
         self.generator = self.add_child(
@@ -138,8 +137,9 @@ class GanFusionModule(Module):
         return -ad.mean(clamped_log(d_fake))
 
     def discriminator_accuracy(self, z_tr: Tensor, z_g: Tensor) -> float:
-        d_real = self.discriminator(z_tr.detach()).data
-        d_fake = self.discriminator(z_g.detach()).data
+        """Share of z_tr scored real and z_g scored fake; builds no graph."""
+        d_real = self.discriminator(z_tr.detach(), frozen=True).data
+        d_fake = self.discriminator(z_g.detach(), frozen=True).data
         return float(((d_real > 0.5).sum() + (d_fake <= 0.5).sum())
                      / (d_real.size + d_fake.size))
 
@@ -148,23 +148,21 @@ class GanFusionStack(Module):
     """One GanFusionModule per present modality plus the final fusion layer."""
 
     def __init__(self, dims: dict[str, int], d_fuse: int, d_noise: int,
-                 d_disc_hidden: int, noise_sigma: float, rng: np.random.Generator,
-                 d_r: int | None = None):
+                 d_disc_hidden: int, noise_sigma: float, rng: np.random.Generator):
         super().__init__()
         present = [m for m in MODALITIES if m in dims]
         if len(present) < 2:
             raise FusionUnavailableError(
                 f"gan fusion needs >= 2 modalities, got {present}")
         self.order = present
-        self.d_r = d_fuse if d_r is None else d_r
         self.modules: dict[str, GanFusionModule] = {}
         for m in present:
             comp = [(n, dims[n]) for n in present if n != m]
             self.modules[m] = self.add_child(
-                m, GanFusionModule(m, dims[m], comp, d_noise, self.d_r,
+                m, GanFusionModule(m, dims[m], comp, d_noise, d_fuse,
                                    d_disc_hidden, noise_sigma, rng))
         self.fc = self.add_child(
-            "fc", Affine(self.d_r * len(present), d_fuse, rng))
+            "fc", Affine(d_fuse * len(present), d_fuse, rng))
 
     def gan_forwards(self, bundle: LatentBundle,
                      rng: np.random.Generator | None) -> list[ModuleForward]:

@@ -134,6 +134,19 @@ def make_batch(rows: list[dict], cfg: ExperimentConfig) -> Batch:
     return b
 
 
+# Layer widths. The fusion networks are lightweight and of fixed size, so
+# every model is built at these; the layer classes still take explicit widths.
+TEXT_EMBED = 16
+TEXT_HIDDEN = 64
+SPEECH_LATENT = 32
+VIDEO_LATENT = 32
+D_FUSE = 32          # Auto-Fusion bottleneck; GAN-Fusion z_g and fused width
+DISC_HIDDEN = 32
+HEAD_HIDDEN = 64
+DEC_EMBED = 24
+DEC_HIDDEN = 64
+
+
 class FusionModel(layers.Module):
     """Encoders -> fusion -> task head, assembled from one config."""
 
@@ -146,42 +159,42 @@ class FusionModel(layers.Module):
         dims: dict[str, int] = {}
         if "video" in cfg.modalities:
             self.video_enc = self.add_child(
-                "video_enc", VectorEncoder(info.video_dim, cfg.video_latent, rng))
-            dims["video"] = cfg.video_latent
+                "video_enc", VectorEncoder(info.video_dim, VIDEO_LATENT, rng))
+            dims["video"] = VIDEO_LATENT
         if "speech" in cfg.modalities:
             self.speech_enc = self.add_child(
-                "speech_enc", VectorEncoder(info.speech_dim, cfg.speech_latent, rng))
-            dims["speech"] = cfg.speech_latent
+                "speech_enc", VectorEncoder(info.speech_dim, SPEECH_LATENT, rng))
+            dims["speech"] = SPEECH_LATENT
         if "text" in cfg.modalities:
             self.text_enc = self.add_child(
-                "text_enc", TextEncoder(len(info.src_vocab), cfg.text_embed,
-                                        cfg.text_hidden, rng))
-            dims["text"] = cfg.text_hidden
+                "text_enc", TextEncoder(len(info.src_vocab), TEXT_EMBED,
+                                        TEXT_HIDDEN, rng))
+            dims["text"] = TEXT_HIDDEN
         self.latent_dims = dims
 
         if cfg.fusion == "concat":
             self.d_fuse = sum(dims.values())
             self.fusion = None
         elif cfg.fusion == "auto":
-            self.d_fuse = cfg.d_fuse
+            self.d_fuse = D_FUSE
             ordered = [dims[m] for m in MODALITIES if m in dims]
             self.fusion = self.add_child(
-                "fusion", AutoFusionNet(ordered, cfg.d_fuse, rng))
+                "fusion", AutoFusionNet(ordered, D_FUSE, rng))
         else:
-            self.d_fuse = cfg.d_fuse
+            self.d_fuse = D_FUSE
             self.fusion = self.add_child(
-                "fusion", GanFusionStack(dims, cfg.d_fuse, cfg.d_noise,
-                                         cfg.disc_hidden, cfg.noise_sigma, rng))
+                "fusion", GanFusionStack(dims, D_FUSE, cfg.d_noise,
+                                         DISC_HIDDEN, cfg.noise_sigma, rng))
 
         if cfg.task == "classification":
             self.head = self.add_child(
-                "head", ClassifierHead(self.d_fuse, cfg.head_hidden,
+                "head", ClassifierHead(self.d_fuse, HEAD_HIDDEN,
                                        info.n_classes, rng))
         else:
             self.decoder = self.add_child(
                 "decoder", AttentiveDecoder(
-                    len(info.tgt_vocab), cfg.dec_embed, cfg.dec_hidden,
-                    cfg.text_hidden, self.d_fuse, rng,
+                    len(info.tgt_vocab), DEC_EMBED, DEC_HIDDEN,
+                    TEXT_HIDDEN, self.d_fuse, rng,
                     condition_every_step=cfg.condition_every_step))
 
     # -- forward pieces ------------------------------------------------------

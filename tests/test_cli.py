@@ -1,11 +1,16 @@
 import json
 import os
+import re
+import shlex
 import struct
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from fuselab.checkpoint import load_checkpoint
-from fuselab.cli import main
+from fuselab.checkpoint import load_checkpoint, save_checkpoint
+from fuselab.cli import build_parser, main
+from fuselab.config import ExperimentConfig, parse_config_text
 from fuselab.data import SCHEMA_HEADER, read_dataset
 from fuselab.gradcheck import gradcheck_cases
 
@@ -84,6 +89,31 @@ def test_invalid_config_exit_code_1(workdir):
                "--train-path", str(workdir / "dsets" / "train.tsv"),
                "--val-path", str(workdir / "dsets" / "val.tsv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--bogus", "1"],
+    ["gen-data", "--kind", "interaction", "--n", "abc"],
+    ["train", "--text-hidden", "64"],
+])
+def test_usage_error_exit_code_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: fuselab" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_help_exits_0_without_width_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--d-noise" in out
+    for flag in ("--text-embed", "--text-hidden", "--speech-latent",
+                 "--video-latent", "--d-fuse", "--disc-hidden",
+                 "--head-hidden", "--dec-embed", "--dec-hidden"):
+        assert flag not in out
 
 
 def test_missing_dataset_exit_code_1(tmp_path):
@@ -214,6 +244,16 @@ def test_dataset_misfit_exit_code_1(misfit_paths, tmp_path, capsys, argv, bad):
     assert err.startswith(f"config error: {paths[bad]}:")
 
 
+def test_checkpoint_with_width_key_exit_code_1(misfit_paths, tmp_path, capsys):
+    ckpt = load_checkpoint(misfit_paths["ckpt"])
+    ckpt.config_text = "text_embed = 16\n" + ckpt.config_text
+    old = tmp_path / "old.bin"
+    save_checkpoint(old, ckpt)
+    rc = main(["eval", "--checkpoint", str(old), "--dataset", misfit_paths["mt_val"]])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: unknown config key 'text_embed'\n"
+
+
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
@@ -247,3 +287,38 @@ def test_sweep_writes_grid(workdir, tmp_path):
         echo = ckpt.config_text.splitlines()
         assert f"lambda1 = {l1}" in echo
         assert "epochs = 1" in echo
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks() -> list[list[str]]:
+    return [block.splitlines() for block in
+            re.findall(r"^```[a-z]*\n(.*?)^```", README.read_text(), re.S | re.M)]
+
+
+def test_readme_commands_parse():
+    commands = 0
+    for block in _readme_blocks():
+        variables = {}
+        for line in block:
+            line = line.split(" #", 1)[0].strip()
+            assignment = re.fullmatch(r'(\w+)="(.*)"', line)
+            if assignment:
+                variables[assignment[1]] = assignment[2]
+            elif line.startswith("fuselab "):
+                for name, value in variables.items():
+                    line = line.replace("$" + name, value)
+                build_parser().parse_args(shlex.split(line)[1:])
+                commands += 1
+    assert commands >= 13
+
+
+def test_readme_config_example_parses():
+    examples = [block for block in _readme_blocks()
+                if block and all(re.fullmatch(r"\w+ = .+", ln) for ln in block)]
+    assert examples
+    names = {f.name for f in fields(ExperimentConfig)}
+    for block in examples:
+        assert {ln.split(" = ", 1)[0] for ln in block} <= names
+        parse_config_text("\n".join(block)).validate()

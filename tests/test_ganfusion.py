@@ -227,3 +227,23 @@ def test_trained_discriminator_separates_clouds(rng):
     real = Tensor(rng.normal(3.0, 0.5, size=(256, 2)))
     fake = Tensor(rng.normal(-3.0, 0.5, size=(256, 2)))
     assert mod.discriminator_accuracy(real, fake) >= 0.95
+
+
+def test_discriminator_accuracy_builds_no_graph(rng, monkeypatch):
+    stack = make_stack(rng, {"speech": 3, "text": 4})
+    mod = stack.modules["text"]
+    fwd = mod.gan_forward(make_bundle(rng, {"speech": 3, "text": 4}), rng)
+    d_real = mod.discriminator(fwd.z_tr).data
+    d_fake = mod.discriminator(fwd.z_g).data
+    expect = float(((d_real > 0.5).sum() + (d_fake <= 0.5).sum()) / 8)
+    tracked = []
+    make = ad._make
+
+    def spy(data, parents, backward_fn):
+        out = make(data, parents, backward_fn)
+        tracked.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(ad, "_make", spy)
+    assert mod.discriminator_accuracy(fwd.z_tr, fwd.z_g) == expect
+    assert tracked and not any(tracked)
