@@ -7,7 +7,7 @@ fusion loss the module contributes to the total objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .layers import Affine, Module
 class FusionOutput:
     z_fuse: Tensor
     j_fusion: Tensor
-    z_g: dict[str, Tensor] = field(default_factory=dict)  # GAN-Fusion generator outputs
 
 
 class AutoFusionNet(Module):

@@ -17,8 +17,7 @@ from . import checkpoint as ckpt_io
 from . import data as data_mod
 from . import harness
 from .autodiff import AutodiffError
-from .config import (ConfigError, ExperimentConfig, load_config_file,
-                     parse_config_text)
+from .config import ConfigError, ExperimentConfig, load_config_file, parse_value
 from .data import SchemaError
 from .gradcheck import gradcheck_cases, run_gradchecks
 
@@ -42,13 +41,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args) -> ExperimentConfig:
     cfg = load_config_file(args.config) if args.config else ExperimentConfig()
-    overrides = []
+    overrides = {}
     for f in fields(ExperimentConfig):
         raw = getattr(args, f.name, None)
         if raw is not None:
-            overrides.append(f"{f.name} = {raw}")
-    if overrides:
-        cfg = parse_config_text("\n".join(overrides), base=cfg)
+            try:
+                overrides[f.name] = parse_value(f.name, raw)
+            except ConfigError as exc:
+                raise ConfigError(f"--{f.name.replace('_', '-')}: {exc}") from None
+    cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 

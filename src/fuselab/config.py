@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -60,8 +61,16 @@ class ExperimentConfig:
         bad = [m for m in self.modalities if m not in ("video", "speech", "text")]
         if bad or not self.modalities:
             raise ConfigError(f"modalities must be a non-empty subset of v/s/t, got {self.modalities}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ConfigError("lambda1 and lambda2 must be >= 0")
+        for key in ("lambda1", "lambda2", "noise_sigma"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{key} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if self.d_noise < 0:
+            raise ConfigError(f"d_noise must be >= 0, got {self.d_noise}")
+        if self.max_decode_len < 1:
+            raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
         if self.fusion == "gan" and len(self.modalities) < 2:
             raise ConfigError("fusion=gan requires at least 2 modalities")
         if self.task == "translation" and "text" not in self.modalities:
@@ -88,17 +97,17 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_value(name: str, raw: str, lineno: int):
+def parse_value(name: str, raw: str):
+    """The typed value of the config key `name` (a field of ExperimentConfig)
+    from its text `raw`. A bad value raises ConfigError saying what was
+    expected; the caller names the key and where the text came from."""
     raw = raw.strip()
-    types = {f.name: f for f in fields(ExperimentConfig)}
-    if name not in types:
-        raise ConfigError(f"unknown config key {name!r}")
-    default = types[name].default
+    default = {f.name: f.default for f in fields(ExperimentConfig)}[name]
     if name == "modalities":
         return tuple(x.strip() for x in raw.split(",") if x.strip())
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
-            raise ConfigError(f"line {lineno}: {name}: expected true/false, got {raw!r}")
+            raise ConfigError(f"expected true/false, got {raw!r}")
         return raw.lower() == "true"
     expected = {int: "an integer", float: "a float"}.get(type(default))
     if expected is None:
@@ -106,8 +115,7 @@ def _parse_value(name: str, raw: str, lineno: int):
     try:
         return type(default)(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {name}: expected {expected}, "
-                          f"got {raw!r}") from None
+        raise ConfigError(f"expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -121,11 +129,20 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        setattr(cfg, key, _parse_value(key, raw, lineno))
+        if key not in {f.name for f in fields(ExperimentConfig)}:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            setattr(cfg, key, parse_value(key, raw))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     cfg.__post_init__()
     return cfg
 
 
 def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        text = fh.read()
+    try:
+        return parse_config_text(text, base=base)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -104,16 +104,20 @@ class GanFusionModule(Module):
         elif comp_dims[0] != d_r:
             self.proj = self.add_child("proj", Affine(comp_dims[0], d_r, rng))
 
-    def gan_forward(self, bundle: LatentBundle,
-                    rng: np.random.Generator | None) -> ModuleForward:
+    def generate(self, bundle: LatentBundle,
+                 rng: np.random.Generator | None) -> Tensor:
+        """Generator output z_g = G([z_target; eps]); eps is 0 without rng."""
         z_m = bundle.latents[self.target]
         b = z_m.shape[0]
         if self.noise_sigma > 0.0 and rng is not None:
             eps = rng.normal(0.0, self.noise_sigma, size=(b, self.d_noise))
         else:
             eps = np.zeros((b, self.d_noise))
-        z_g = self.generator(ad.concat([z_m, Tensor(eps)], axis=1))
+        return self.generator(ad.concat([z_m, Tensor(eps)], axis=1))
 
+    def gan_forward(self, bundle: LatentBundle,
+                    rng: np.random.Generator | None) -> ModuleForward:
+        z_g = self.generate(bundle, rng)
         comp = [bundle.latents[n] for n in self.complement_names]
         if self.inner is not None:
             inner_out = self.inner(comp)
@@ -164,23 +168,41 @@ class GanFusionStack(Module):
         self.fc = self.add_child(
             "fc", Affine(d_fuse * len(present), d_fuse, rng))
 
-    def gan_forwards(self, bundle: LatentBundle,
-                     rng: np.random.Generator | None) -> list[ModuleForward]:
+    def _check_bundle(self, bundle: LatentBundle) -> None:
         missing = [m for m in self.order if m not in bundle.latents]
         if missing:
             raise FusionUnavailableError(f"bundle missing modalities {missing}")
+
+    def gan_forwards(self, bundle: LatentBundle,
+                     rng: np.random.Generator | None) -> list[ModuleForward]:
+        self._check_bundle(bundle)
         return [self.modules[m].gan_forward(bundle, rng) for m in self.order]
 
-    def compose(self, forwards: list[ModuleForward],
-                saturating: bool = False) -> FusionOutput:
-        z_fuse = self.fc(ad.concat([f.z_g for f in forwards], axis=1))
+    def generate(self, bundle: LatentBundle) -> dict[str, Tensor]:
+        """Noise-free z_g of every module: what inference needs, without the
+        complements z_tr or any loss."""
+        self._check_bundle(bundle)
+        return {m: self.modules[m].generate(bundle, None) for m in self.order}
+
+    def project(self, z_g: dict[str, Tensor]) -> Tensor:
+        """The fused vector: one affine map of the concatenated z_g."""
+        return self.fc(ad.concat(list(z_g.values()), axis=1))
+
+    def fusion_loss(self, forwards: list[ModuleForward],
+                    saturating: bool = False) -> Tensor:
+        """Sum over modules of the generator loss and the inner Auto-Fusion
+        reconstruction loss."""
         j = None
         for f in forwards:
             term = self.modules[f.name].generator_loss(f.z_g, saturating=saturating) \
                 + f.inner_loss
             j = term if j is None else j + term
-        return FusionOutput(z_fuse=z_fuse, j_fusion=j,
-                            z_g={f.name: f.z_g for f in forwards})
+        return j
+
+    def compose(self, forwards: list[ModuleForward],
+                saturating: bool = False) -> FusionOutput:
+        return FusionOutput(z_fuse=self.project({f.name: f.z_g for f in forwards}),
+                            j_fusion=self.fusion_loss(forwards, saturating))
 
     def fuse(self, bundle: LatentBundle, rng: np.random.Generator | None,
              saturating: bool = False) -> FusionOutput:

@@ -237,15 +237,21 @@ class FusionModel(layers.Module):
         """Deterministic inference: GAN noise off, eval mode."""
         return self._predict(batch)[0]
 
-    def _predict(self, batch: Batch) -> tuple[list, FusionOutput]:
-        """Predictions plus the fusion output they were made from."""
+    def _predict(self, batch: Batch) -> tuple[list, dict[str, Tensor]]:
+        """Predictions plus the GAN-Fusion generator outputs z_g they were
+        made from (empty for other fusions). No fusion loss is computed."""
         bundle = self.encode(batch)
-        fused = self.fuse(bundle, None)
+        z_g: dict[str, Tensor] = {}
+        if self.cfg.fusion == "gan":
+            z_g = self.fusion.generate(bundle)
+            z_fuse = self.fusion.project(z_g)
+        else:
+            z_fuse = self.fuse(bundle, None).z_fuse
         if self.cfg.task == "classification":
-            return list(self.head(fused.z_fuse).data.argmax(axis=1)), fused
+            return list(self.head(z_fuse).data.argmax(axis=1)), z_g
         return self.decoder.decode_greedy(
-            fused.z_fuse, bundle.text_states, bundle.text_mask,
-            self.cfg.max_decode_len), fused
+            z_fuse, bundle.text_states, bundle.text_mask,
+            self.cfg.max_decode_len), z_g
 
     def non_discriminator_parameters(self) -> dict[str, Tensor]:
         return {n: t for n, t in self.parameters().items()
@@ -468,10 +474,10 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
     text_zg: list[np.ndarray] = []
     for start in range(0, len(rows), eval_batch):
         batch = make_batch(rows[start:start + eval_batch], cfg)
-        batch_preds, fused = model._predict(batch)
+        batch_preds, z_g = model._predict(batch)
         preds.extend(batch_preds)
-        if "text" in fused.z_g:
-            text_zg.append(fused.z_g["text"].data)
+        if "text" in z_g:
+            text_zg.append(z_g["text"].data)
 
     metrics: dict[str, float] = {}
     if cfg.task == "classification":

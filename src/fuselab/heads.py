@@ -122,22 +122,30 @@ class AttentiveDecoder(Module):
 
     def decode_greedy(self, z_fuse: Tensor, states: Tensor, mask: np.ndarray,
                       max_len: int) -> list[list[int]]:
-        """Argmax decoding from SOS until EOS or max_len, per batch row."""
-        b = z_fuse.shape[0]
-        h, c = self.init_state(z_fuse)
+        """Argmax decoding from SOS until EOS or max_len, per batch row.
+
+        A row leaves the batch at the step that emits its EOS, so each step
+        runs only the live rows. The state is carried as arrays, so no step
+        keeps the graph of the one before.
+        """
+        z, st = z_fuse.data, states.data
+        h, c = (t.data for t in self.init_state(Tensor(z)))
+        b = z.shape[0]
+        tokens = np.zeros((b, max_len), dtype=np.int64)
+        length = np.full(b, max_len)
+        rows = np.arange(b)                    # batch row of each live row
         prev = np.full(b, SOS, dtype=np.int64)
-        done = np.zeros(b, dtype=bool)
-        out: list[list[int]] = [[] for _ in range(b)]
-        for _ in range(max_len):
-            logits, h, c, _ = self.decode_step(prev, h, c, z_fuse, states, mask)
-            nxt = logits.data.argmax(axis=1)
-            for i in range(b):
-                if not done[i]:
-                    if nxt[i] == EOS:
-                        done[i] = True
-                    else:
-                        out[i].append(int(nxt[i]))
-            if done.all():
-                break
-            prev = nxt
-        return out
+        for t in range(max_len):
+            logits, h_t, c_t, _ = self.decode_step(
+                prev, Tensor(h), Tensor(c), Tensor(z), Tensor(st), mask)
+            prev, h, c = logits.data.argmax(axis=1), h_t.data, c_t.data
+            tokens[rows, t] = prev
+            ended = prev == EOS
+            if ended.any():
+                length[rows[ended]] = t
+                live = ~ended
+                if not live.any():
+                    break
+                rows, prev, h, c = rows[live], prev[live], h[live], c[live]
+                z, st, mask = z[live], st[live], mask[live]
+        return [tokens[i, :length[i]].tolist() for i in range(b)]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,44 @@ class BleuReport:
     def bleu4(self): return self.bleu[4]
 
 
-def _ngrams(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _clipped_counts(candidates: list[list], references: list[list],
+                    max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped and total candidate n-gram counts for n = 1..max_order.
+
+    Tokens become dense ints; each n-gram is the rank of its (n-1)-gram
+    prefix and last token, and each (sentence pair, n-gram) one int64, so
+    counting is np.unique and clipping a searchsorted. Every code stays below
+    S * (N + 1) for S sentence pairs and N tokens in the corpus.
+    """
+    n_pairs = len(candidates)
+    seqs = list(candidates) + list(references)
+    ids: dict = {}
+    tok = np.fromiter((ids.setdefault(t, len(ids)) for s in seqs for t in s),
+                      dtype=np.int64)
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    owner = np.repeat(np.arange(len(seqs)), lengths)       # sequence of each token
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(tok.size)
+    pair = owner % n_pairs                                  # candidate i pairs reference i
+    base = tok.size + 1
+    clipped = np.zeros(max_order, dtype=np.int64)
+    total = np.zeros(max_order, dtype=np.int64)
+    gram = tok.copy()
+    for n in range(1, max_order + 1):
+        at = np.flatnonzero(left >= n)                      # starts of n-grams
+        if n > 1:
+            gram[at] = np.unique(gram[at] * base + tok[at + n - 1], return_inverse=True)[1]
+        keys = pair[at] * base + gram[at]
+        is_cand = owner[at] < n_pairs
+        cand_keys, cand_counts = np.unique(keys[is_cand], return_counts=True)
+        ref_keys, ref_counts = np.unique(keys[~is_cand], return_counts=True)
+        # a sentinel above every key keeps each searchsorted index in range
+        ref_keys = np.append(ref_keys, np.iinfo(np.int64).max)
+        ref_counts = np.append(ref_counts, 0)
+        hit = np.searchsorted(ref_keys, cand_keys)
+        in_ref = np.where(ref_keys[hit] == cand_keys, ref_counts[hit], 0)
+        clipped[n - 1] = np.minimum(cand_counts, in_ref).sum()
+        total[n - 1] = cand_counts.sum()
+    return clipped, total
 
 
 def corpus_bleu(candidates: list[list], references: list[list],
@@ -41,25 +76,17 @@ def corpus_bleu(candidates: list[list], references: list[list],
     """Single-reference corpus BLEU with clipped n-gram counts, no smoothing.
 
     BLEU-N = BP * exp(mean of log p_n for n <= N); any zero precision makes
-    that BLEU-N zero. BP = exp(1 - r/c) when c < r, else 1.
+    that BLEU-N zero. BP = exp(1 - r/c) when c < r, else 1. Tokens may be any
+    hashable values.
     """
     if len(candidates) != len(references):
         raise ValueError(f"{len(candidates)} candidates vs {len(references)} references")
     if not candidates:
         raise ValueError("empty corpus")
 
-    clipped = np.zeros(max_order, dtype=np.int64)
-    total = np.zeros(max_order, dtype=np.int64)
-    c_len = r_len = 0
-    for cand, ref in zip(candidates, references):
-        c_len += len(cand)
-        r_len += len(ref)
-        for n in range(1, max_order + 1):
-            cand_counts = _ngrams(cand, n)
-            ref_counts = _ngrams(ref, n)
-            total[n - 1] += sum(cand_counts.values())
-            clipped[n - 1] += sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-
+    clipped, total = _clipped_counts(candidates, references, max_order)
+    c_len = sum(len(c) for c in candidates)
+    r_len = sum(len(r) for r in references)
     bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / max(c_len, 1))
     report = BleuReport(brevity_penalty=bp, candidate_length=c_len,
                         reference_length=r_len)
@@ -108,30 +135,36 @@ def classification_report(predictions, labels, n_classes: int
             float(np.mean(f1s)), accuracy)
 
 
+SILHOUETTE_BLOCK = 8  # distance-matrix rows computed at once
+
+
 def silhouette(points: np.ndarray, group_ids) -> float:
     """Mean silhouette with Euclidean distance.
 
     Singleton groups contribute 0; so do points where max(a, b) == 0.
     """
     points = np.asarray(points, dtype=np.float64)
-    group_ids = np.asarray(group_ids)
-    groups = np.unique(group_ids)
+    groups, gidx = np.unique(np.asarray(group_ids), return_inverse=True)
     if groups.size < 2:
         raise ValueError("silhouette needs at least two groups")
 
-    n = points.shape[0]
+    n, k = points.shape[0], groups.size
+    sums = np.empty((n, k))          # summed distance from each point to each group
+    for i in range(0, n, SILHOUETTE_BLOCK):
+        # a block of rows of the distance matrix keeps memory at O(block n d)
+        diff = points[i:i + SILHOUETTE_BLOCK, None, :] - points[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        bins = (np.arange(dist.shape[0])[:, None] * k + gidx).ravel()
+        sums[i:i + dist.shape[0]] = np.bincount(
+            bins, weights=dist.ravel(), minlength=dist.shape[0] * k).reshape(-1, k)
+    counts = np.bincount(gidx, minlength=k)
+    own = counts[gidx]
+    rows = np.arange(n)
+    a = sums[rows, gidx] / np.maximum(own - 1, 1)
+    means = sums / counts
+    means[rows, gidx] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(n)
-    for i in range(n):
-        own = group_ids == group_ids[i]
-        n_own = int(own.sum())
-        if n_own == 1:
-            scores[i] = 0.0
-            continue
-        # one row of the distance matrix at a time keeps memory at O(n d)
-        diff = points[i] - points
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        a = dist[own].sum() / (n_own - 1)
-        b = min(dist[group_ids == g].mean() for g in groups if g != group_ids[i])
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    np.divide(b - a, denom, out=scores, where=(own > 1) & (denom > 0))
     return float(scores.mean())

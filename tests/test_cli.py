@@ -91,6 +91,39 @@ def test_invalid_config_exit_code_1(workdir):
     assert rc == 1
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--d-noise", "-1", "d_noise"),
+    ("--noise-sigma", "-1", "noise_sigma"),
+    ("--noise-sigma", "nan", "noise_sigma"),
+    ("--lr", "0", "lr"),
+    ("--lr", "nan", "lr"),
+    ("--lambda1", "inf", "lambda1"),
+    ("--lambda2", "nan", "lambda2"),
+    ("--max-decode-len", "0", "max_decode_len"),
+])
+def test_out_of_range_value_exit_code_1(workdir, tmp_path, capsys, flag, value, key):
+    rc = main(["train", "--task", "translation", "--fusion", "gan", "--epochs", "1",
+               "--train-path", str(workdir / "dsets" / "train.tsv"),
+               "--val-path", str(workdir / "dsets" / "val.tsv"),
+               "--out-dir", str(tmp_path), flag, value])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+def test_bad_config_file_value_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("epochs = abc\n")
+    assert main(["train", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: line 1: epochs: expected an integer, got 'abc'\n")
+
+
+def test_bad_flag_value_names_the_flag(capsys):
+    assert main(["train", "--lr", "0.1", "--epochs", "abc"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --epochs: expected an integer, got 'abc'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--bogus", "1"],
     ["gen-data", "--kind", "interaction", "--n", "abc"],

@@ -190,3 +190,46 @@ def test_memorization_capacity(rng):
         if loss.item() < 0.05:
             break
     assert loss.item() < 0.05
+
+
+def reference_greedy(dec, z, states, mask, max_len):
+    """Full-batch greedy decode: every row steps until the last row's EOS."""
+    b = z.shape[0]
+    h, c = dec.init_state(z)
+    prev = np.full(b, SOS)
+    done = np.zeros(b, dtype=bool)
+    out = [[] for _ in range(b)]
+    for _ in range(max_len):
+        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        nxt = logits.data.argmax(axis=1)
+        for i in range(b):
+            if not done[i]:
+                if nxt[i] == EOS:
+                    done[i] = True
+                else:
+                    out[i].append(int(nxt[i]))
+        if done.all():
+            break
+        prev = nxt
+    return out
+
+
+@pytest.mark.parametrize("condition_every_step", [False, True])
+@pytest.mark.parametrize("max_len", [3, 8])
+def test_greedy_drops_finished_rows_without_changing_tokens(condition_every_step, max_len):
+    rng = np.random.default_rng(41)
+    dec = make_decoder(rng, condition_every_step=condition_every_step)
+    for p in dec.parameters().values():
+        p.data *= 5.0                     # sharper logits: rows end at varied steps
+    dec.out.b.data[EOS] += 1.0
+    b = 16
+    states = Tensor(rng.normal(size=(b, 5, 6)))
+    mask = (rng.random((b, 5)) > 0.3).astype(float)
+    mask[:, 0] = 1.0
+    z = Tensor(rng.normal(size=(b, 3)))
+
+    out = dec.decode_greedy(z, states, mask, max_len=max_len)
+    assert out == reference_greedy(dec, z, states, mask, max_len)
+    lengths = {len(s) for s in out}
+    assert 0 in lengths and max_len in lengths and len(lengths) >= 3
+    assert all(isinstance(t, int) for s in out for t in s)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuselab.metrics import BleuReport, classification_report, corpus_bleu, silhouette
 
@@ -92,6 +94,49 @@ def test_pair_order_permutation_invariant():
     rep2 = corpus_bleu([cands[i] for i in perm], [refs[i] for i in perm])
     for n in range(1, 5):
         assert rep.bleu[n] == pytest.approx(rep2.bleu[n], abs=1e-12)
+
+
+def counter_bleu(candidates, references, max_order=4):
+    """The dict-of-Counter corpus BLEU that the array counting replaced."""
+    def ngrams(tokens, n):
+        return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+    clipped = np.zeros(max_order, dtype=np.int64)
+    total = np.zeros(max_order, dtype=np.int64)
+    c_len = r_len = 0
+    for cand, ref in zip(candidates, references):
+        c_len += len(cand)
+        r_len += len(ref)
+        for n in range(1, max_order + 1):
+            cand_counts, ref_counts = ngrams(cand, n), ngrams(ref, n)
+            total[n - 1] += sum(cand_counts.values())
+            clipped[n - 1] += sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / max(c_len, 1))
+    precisions = {n: clipped[n - 1] / total[n - 1] if total[n - 1] else 0.0
+                  for n in range(1, max_order + 1)}
+    bleu = {}
+    for n in range(1, max_order + 1):
+        ps = [precisions[k] for k in range(1, n + 1)]
+        bleu[n] = 0.0 if min(ps) <= 0.0 else \
+            100.0 * bp * math.exp(sum(math.log(p) for p in ps) / n)
+    return bleu, precisions, bp, c_len, r_len
+
+
+# a small alphabet of mixed hashable tokens makes repeated n-grams common
+_SENTENCE = st.lists(st.sampled_from(["a", "b", "c", "the", 7, ("x", 1)]), max_size=9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SENTENCE, _SENTENCE), min_size=1, max_size=8))
+@example([([], ["a", "b"]), (["a", "a", "a", "a"], ["a", "a"])])
+@example([([], [])])
+def test_bleu_equals_counter_implementation_exactly(pairs):
+    cands, refs = [c for c, _ in pairs], [r for _, r in pairs]
+    rep = corpus_bleu(cands, refs)
+    bleu, precisions, bp, c_len, r_len = counter_bleu(cands, refs)
+    assert rep.bleu == bleu and rep.precisions == precisions
+    assert rep.brevity_penalty == bp
+    assert (rep.candidate_length, rep.reference_length) == (c_len, r_len)
 
 
 def test_bleu_errors():
@@ -184,6 +229,36 @@ def test_silhouette_singleton_contributes_zero():
     by_hand_0 = (np.linalg.norm(pts[0] - pts[2]) - 0.1) / np.linalg.norm(pts[0] - pts[2])
     by_hand_1 = (np.linalg.norm(pts[1] - pts[2]) - 0.1) / np.linalg.norm(pts[1] - pts[2])
     assert s == pytest.approx((by_hand_0 + by_hand_1 + 0.0) / 3)
+
+
+def per_row_silhouette(points, group_ids):
+    """One distance row and one mean per other group at a time."""
+    group_ids = np.asarray(group_ids)
+    scores = np.zeros(len(points))
+    for i in range(len(points)):
+        own = group_ids == group_ids[i]
+        if own.sum() == 1:
+            continue
+        dist = np.sqrt(((points[i] - points) ** 2).sum(axis=1))
+        a = dist[own].sum() / (own.sum() - 1)
+        b = min(dist[group_ids == g].mean() for g in np.unique(group_ids)
+                if g != group_ids[i])
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return scores.mean()
+
+
+def test_silhouette_matches_per_row_reference():
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(70, 5))
+    pts[10:14] = pts[3]                        # duplicate points
+    groups = rng.integers(0, 4, size=70)
+    groups[[0, 1]] = [7, 9]                    # two singleton groups
+    groups[3], groups[10:12] = 0, 1            # duplicates within and across groups
+    assert silhouette(pts, groups) == pytest.approx(
+        per_row_silhouette(pts, groups), abs=1e-12)
+    labels = np.array(["x", "y", "z"])[rng.integers(0, 3, size=70)]
+    assert silhouette(pts, labels) == pytest.approx(
+        per_row_silhouette(pts, labels), abs=1e-12)
 
 
 def test_silhouette_memory_is_linear():
