@@ -125,57 +125,66 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor) -> None:
+def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
+    """op(a.data, b.data), with numpy's broadcast failure as a DimensionError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError:
-        raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast")
+        raise DimensionError(f"shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 # -- elementwise binary ops --------------------------------------------------
+# Each backward skips an operand that does not require grad before doing its
+# math, e.g. a detached input or a frozen parameter.
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data + b.data
+    out_data = _broadcast(np.add, a, b)
 
     def bw(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data - b.data
+    out_data = _broadcast(np.subtract, a, b)
 
     def bw(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(-_unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    out_data = a.data * b.data
+    out_data = _broadcast(np.multiply, a, b)
 
     def bw(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
+    # a shape error is reported before a zero divisor, so divide first
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out_data = _broadcast(np.divide, a, b)
     if np.any(b.data == 0.0):
         raise DomainError("division by zero")
-    out_data = a.data / b.data
 
     def bw(g):
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), bw)
 
@@ -259,8 +268,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     return _make(out_data, (a, b), bw)
 
@@ -272,8 +283,10 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        a._accumulate(g @ np.transpose(b.data, (0, 2, 1)))
-        b._accumulate(np.transpose(a.data, (0, 2, 1)) @ g)
+        if a.requires_grad:
+            a._accumulate(g @ np.transpose(b.data, (0, 2, 1)))
+        if b.requires_grad:
+            b._accumulate(np.transpose(a.data, (0, 2, 1)) @ g)
 
     return _make(out_data, (a, b), bw)
 

@@ -301,6 +301,11 @@ def _check_finite(name: str, value: float) -> None:
         raise TrainingDiverged(f"non-finite loss term {name}: {value}")
 
 
+def _clear_grads(tensors: list[Tensor]) -> None:
+    for t in tensors:
+        t.grad = None
+
+
 def _task_metric(cfg: ExperimentConfig, metrics: dict[str, float]) -> float:
     return metrics["accuracy"] if cfg.task == "classification" else metrics["bleu4"]
 
@@ -330,6 +335,8 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
     disc_opt = AdamState(lr=cfg.lr / 2.0)
     main_params = model.non_discriminator_parameters()
     disc_params = model.discriminator_parameters()
+    # listed once, so a step clears grads without walking the module tree
+    all_params = [*main_params.values(), *disc_params.values()]
 
     record = RunRecord()
     best_metric = -np.inf
@@ -349,7 +356,7 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
 
             if cfg.fusion == "gan":
                 forwards = model.fusion.gan_forwards(bundle, noise_rng)
-                model.zero_grads()
+                _clear_grads(all_params)
                 d_loss = None
                 for fwd in forwards:
                     term = model.fusion.modules[fwd.name].discriminator_loss(
@@ -358,14 +365,14 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
                 _check_finite("discriminator", d_loss.item())
                 d_loss.backward()
                 adam_step(disc_params, disc_opt)
-                model.zero_grads()
+                _clear_grads(all_params)
                 record.disc_accuracy.append(float(np.mean(
                     [model.fusion.modules[f.name].discriminator_accuracy(
                         f.z_tr, f.z_g) for f in forwards])))
                 fused = model.fusion.compose(forwards,
                                              saturating=cfg.saturating_gan)
             else:
-                model.zero_grads()
+                _clear_grads(all_params)
                 fused = model.fuse(bundle, noise_rng)
 
             j_task = model.task_loss(fused, bundle, batch, dropout_rng)

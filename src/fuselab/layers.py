@@ -255,7 +255,14 @@ def _gather(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 class AdamState:
-    """Per-parameter Adam moments keyed by parameter name."""
+    """Adam moments of one parameter group, held flat.
+
+    The first ``adam_step`` fixes the layout: the sorted parameter names,
+    their shapes and their offsets into one float64 array each for the first
+    and second moments. ``m[name]`` and ``v[name]`` are reshaped views into
+    those arrays, in sorted name order, so a checkpoint sees one array per
+    parameter. A later step with another name set or shape raises.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -263,22 +270,74 @@ class AdamState:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self.layout: dict[str, tuple[int, ...]] | None = None  # name -> shape
+
+    def _fix_layout(self, params: dict[str, Tensor]) -> None:
+        self.layout = {n: params[n].shape for n in sorted(params)}
+        sizes = [params[n].size for n in self.layout]
+        # the moments, then scratch for the gathered grads and the update
+        self._m, self._v, self._grad, self._update = (np.zeros(sum(sizes))
+                                                      for _ in range(4))
+        cuts = np.cumsum(sizes)[:-1]
+
+        def views(flat: np.ndarray) -> list[np.ndarray]:
+            return [a.reshape(shape)
+                    for a, shape in zip(np.split(flat, cuts), self.layout.values())]
+
+        self.m = dict(zip(self.layout, views(self._m)))
+        self.v = dict(zip(self.layout, views(self._v)))
+        self._update_views = views(self._update)
+
+    def _ordered(self, params: dict[str, Tensor]) -> list[Tensor]:
+        """The group's tensors in layout order. A name set or a shape that
+        differs from the layout raises, naming the first such parameter."""
+        tensors = [params.get(n) for n in self.layout]
+        if len(params) == len(tensors) and all(
+                t is not None and t.shape == shape
+                for t, shape in zip(tensors, self.layout.values())):
+            return tensors
+        shapes = {n: t.shape for n, t in params.items()}
+        name = min(n for n in shapes.keys() | self.layout.keys()
+                   if shapes.get(n) != self.layout.get(n))
+        raise ValueError(f"adam_step: parameter {name!r} does not match the "
+                         f"optimizer's layout: shape {shapes.get(name)}, layout "
+                         f"{self.layout.get(name)}")
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
-    """One bias-corrected Adam update; leaves grads untouched."""
+    """One bias-corrected Adam update over the flat moments; leaves grads
+    untouched.
+
+    The grads are gathered in layout order with one concatenate and the
+    moments are updated in place, with the per-element association of a
+    per-tensor loop, so results are bit-identical to it:
+    m = m*b1 + (1-b1)*g, v = v*b2 + ((1-b2)*g)*g and
+    p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+    """
     for name, p in params.items():
         if p.grad is None:
             raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+    if state.layout is None:
+        state._fix_layout(params)
+    tensors = state._ordered(params)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in sorted(params.items()):
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1 - state.beta1) * p.grad
-        v *= state.beta2
-        v += (1 - state.beta2) * p.grad * p.grad
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    g, u, m, v = state._grad, state._update, state._m, state._v
+    np.concatenate([p.grad.reshape(-1) for p in tensors], out=g)
+    m *= state.beta1
+    np.multiply(1 - state.beta1, g, out=u)
+    m += u
+    v *= state.beta2
+    np.multiply(1 - state.beta2, g, out=u)
+    u *= g
+    v += u
+    np.divide(m, bc1, out=u)
+    u *= state.lr
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    u /= g
+    for p, step in zip(tensors, state._update_views):
+        p.data -= step

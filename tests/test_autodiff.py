@@ -205,8 +205,43 @@ def test_broadcast_bias_style():
 
 
 def test_broadcast_incompatible():
-    with pytest.raises(DimensionError):
-        Tensor(np.zeros((2, 3))) + Tensor(np.zeros((2, 4)))
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        with pytest.raises(DimensionError,
+                           match=r"^shapes \(2, 3\) and \(2, 4\) do not broadcast$"):
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+
+SKIP_CASES = {
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (3, 1), (3, 4)),
+    "mul": (ad.mul, (3, 4), (1, 4)),
+    "div": (ad.div, (3, 4), (3, 4)),
+    "matmul": (ad.matmul, (3, 4), (4, 2)),
+    "bmm": (ad.bmm, (2, 3, 4), (2, 4, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SKIP_CASES))
+@pytest.mark.parametrize("frozen", [0, 1])
+def test_backward_skips_operand_without_grad(name, frozen):
+    """An operand that does not require grad gets none, and the other
+    operand's grad is bit-identical to the one it gets when both do."""
+    op, shape_a, shape_b = SKIP_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    data = [rng.uniform(0.5, 2.0, size=shape_a), rng.uniform(0.5, 2.0, size=shape_b)]
+
+    def grads(requires):
+        ts = [Tensor(d.copy(), requires_grad=r) for d, r in zip(data, requires)]
+        out = op(*ts)
+        weight = Tensor(np.random.default_rng(1).normal(size=out.shape))
+        ad.sum(out * weight).backward()
+        return [t.grad for t in ts]
+
+    both = grads([True, True])
+    one = grads([k != frozen for k in range(2)])
+    live = 1 - frozen
+    assert one[frozen] is None
+    assert one[live].tobytes() == both[live].tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fuselab import autodiff as ad
-from fuselab import layers
+from fuselab import data as data_mod
+from fuselab import harness, layers
 from fuselab.autodiff import Tensor
+from fuselab.config import ExperimentConfig
 from fuselab.gradcheck import check_gradients
 
 
@@ -250,3 +252,84 @@ def test_parameter_names_unique_and_dotted(rng):
     assert names == {"enc.W", "enc.b", "dec.W", "dec.b"}
     with pytest.raises(ValueError):
         m._children["enc"].add_param("W", np.zeros(1))
+
+
+def reference_adam_step(params, state):
+    """The per-tensor Adam loop that the flat update replaced."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name, p in sorted(params.items()):
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m *= state.beta1
+        m += (1 - state.beta1) * p.grad
+        v *= state.beta2
+        v += (1 - state.beta2) * p.grad * p.grad
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+def test_flat_adam_matches_per_tensor_loop_bytewise(rng):
+    cfg = ExperimentConfig(task="classification", fusion="gan",
+                           modalities=("video", "speech"))
+    info = harness.DataInfo(n_classes=4, speech_dim=data_mod.DEFAULT_SPEECH_DIM,
+                            video_dim=data_mod.DEFAULT_VIDEO_DIM)
+    model = harness.FusionModel(cfg, info, np.random.default_rng(3))
+    signed = Tensor(rng.normal(size=3), requires_grad=True)
+    groups = [dict(model.non_discriminator_parameters(), signed_zero=signed),
+              model.discriminator_parameters()]
+
+    def copies(group):
+        return {n: Tensor(t.data.copy(), requires_grad=True) for n, t in group.items()}
+
+    flat_groups = [copies(g) for g in groups]
+    ref_groups = [copies(g) for g in groups]
+    flat_states = [layers.AdamState(lr=1e-3), layers.AdamState(lr=5e-4)]
+    ref_states = [layers.AdamState(lr=1e-3), layers.AdamState(lr=5e-4)]
+    for _ in range(5):
+        for flat, ref, flat_state, ref_state in zip(flat_groups, ref_groups,
+                                                    flat_states, ref_states):
+            for name in flat:
+                g = rng.normal(size=flat[name].shape)
+                if name == "signed_zero":
+                    g[:2] = [0.0, -0.0]
+                flat[name].grad, ref[name].grad = g, g.copy()
+            layers.adam_step(flat, flat_state)
+            reference_adam_step(ref, ref_state)
+
+    for flat, ref, flat_state, ref_state in zip(flat_groups, ref_groups,
+                                                flat_states, ref_states):
+        for name in flat:
+            assert flat[name].data.tobytes() == ref[name].data.tobytes(), name
+            assert flat_state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert flat_state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+        # every moment is a view into one flat array per state and moment
+        m_base, v_base = flat_state.m[name].base, flat_state.v[name].base
+        assert m_base is not None and v_base is not None and m_base is not v_base
+        assert all(a.base is m_base for a in flat_state.m.values())
+        assert all(a.base is v_base for a in flat_state.v.values())
+    flat_entries = harness._optimizer_entries(*flat_states)
+    ref_entries = harness._optimizer_entries(*ref_states)
+    assert list(flat_entries) == list(ref_entries)
+    for name, arr in ref_entries.items():
+        assert flat_entries[name].tobytes() == arr.tobytes(), name
+
+
+def test_adam_layout_guard_names_first_mismatch():
+    def param(*shape):
+        t = Tensor(np.ones(shape), requires_grad=True)
+        t.grad = np.ones(shape)
+        return t
+
+    st = layers.AdamState()
+    layers.adam_step({"b": param(2), "d": param(3, 1)}, st)
+    with pytest.raises(ValueError, match=r"'c' .*: shape \(1,\), layout None"):
+        layers.adam_step({"b": param(2), "c": param(1), "d": param(3, 1)}, st)
+    with pytest.raises(ValueError, match=r"'b' .*: shape None, layout \(2,\)"):
+        layers.adam_step({"d": param(3, 1), "e": param(1)}, st)
+    with pytest.raises(ValueError, match=r"'d' .*: shape \(3,\), layout \(3, 1\)"):
+        layers.adam_step({"b": param(2), "d": param(3)}, st)
+    assert st.step_count == 1
+    layers.adam_step({"d": param(3, 1), "b": param(2)}, st)
+    assert st.step_count == 2
