@@ -20,22 +20,13 @@ class DimensionError(AutodiffError):
     """Shapes of the operands are incompatible."""
 
 
-class DomainError(AutodiffError):
-    """Numeric input outside the op's domain (e.g. log of non-positive)."""
-
-
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """n-d float64 array, optionally tracked by the differentiation graph."""
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -81,26 +72,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
 
     def __mul__(self, other):
         return mul(self, _lift(other))
 
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
     def __neg__(self):
         return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _lift(x) -> Tensor:
@@ -173,22 +152,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    # a shape error is reported before a zero divisor, so divide first
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = _broadcast(np.divide, a, b)
-    if np.any(b.data == 0.0):
-        raise DomainError("division by zero")
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), bw)
-
-
 # -- elementwise unary ops ---------------------------------------------------
 
 def tanh(x: Tensor) -> Tensor:
@@ -223,30 +186,6 @@ def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
 
     def bw(g):
         x._accumulate(g * slope)
-
-    return _make(out_data, (x,), bw)
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="raise"):
-        try:
-            out_data = np.exp(x.data)
-        except FloatingPointError:
-            raise DomainError("exp overflow")
-
-    def bw(g):
-        x._accumulate(g * out_data)
-
-    return _make(out_data, (x,), bw)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0.0):
-        raise DomainError("log requires strictly positive inputs")
-    out_data = np.log(x.data)
-
-    def bw(g):
-        x._accumulate(g / x.data)
 
     return _make(out_data, (x,), bw)
 
@@ -379,24 +318,6 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
             x._accumulate(np.broadcast_to(g / n, x.shape).copy())
         else:
             x._accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy())
-
-    return _make(out_data, (x,), bw)
-
-
-def max(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors np.max
-    _check_axis(x, axis)
-    out_data = x.data.max(axis=axis)
-    if axis is None:
-        hit = (x.data == out_data).astype(np.float64)
-    else:
-        hit = (x.data == np.expand_dims(out_data, axis)).astype(np.float64)
-    hit /= hit.sum(axis=axis, keepdims=axis is not None) if axis is not None else hit.sum()
-
-    def bw(g):
-        if axis is None:
-            x._accumulate(hit * g)
-        else:
-            x._accumulate(hit * np.expand_dims(g, axis))
 
     return _make(out_data, (x,), bw)
 

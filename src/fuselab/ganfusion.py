@@ -98,11 +98,10 @@ class GanFusionModule(Module):
             "discriminator", Discriminator(d_r, d_disc_hidden, rng))
         comp_dims = [d for _, d in complements]
         self.inner: AutoFusionNet | None = None
-        self.proj: Affine | None = None
-        if len(complements) >= 2:
+        # A lone complement of width d_r is z_tr as it is; any other is autofused,
+        # as only a loss that is not detached can train what maps it to d_r.
+        if comp_dims != [d_r]:
             self.inner = self.add_child("inner", AutoFusionNet(comp_dims, d_r, rng))
-        elif comp_dims[0] != d_r:
-            self.proj = self.add_child("proj", Affine(comp_dims[0], d_r, rng))
 
     def generate(self, bundle: LatentBundle,
                  rng: np.random.Generator | None) -> Tensor:
@@ -123,8 +122,7 @@ class GanFusionModule(Module):
             inner_out = self.inner(comp)
             z_tr, inner_loss = inner_out.z_fuse, inner_out.j_fusion
         else:
-            z_tr = comp[0] if self.proj is None else self.proj(comp[0])
-            inner_loss = Tensor(0.0)
+            z_tr, inner_loss = comp[0], Tensor(0.0)
         return ModuleForward(self.target, z_g, z_tr, inner_loss)
 
     def discriminator_loss(self, z_tr: Tensor, z_g: Tensor) -> Tensor:

@@ -8,7 +8,7 @@ module at lr / 2, then one Adam step over every non-discriminator parameter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,17 +67,23 @@ class DataInfo:
 
     @classmethod
     def from_text(cls, text: str) -> "DataInfo":
-        info = cls()
-        for line in text.splitlines():
-            if "=" not in line:
-                continue
-            key, raw = (x.strip() for x in line.split("=", 1))
-            if key in ("n_classes", "speech_dim", "video_dim"):
+        """Parse a checkpoint's [data] block. A line that is not `key = value`
+        with a field name seen once, or a count that is not a u32, raises
+        CheckpointError."""
+        info, seen = cls(), set()
+        for line in filter(str.strip, text.splitlines()):
+            key, eq, raw = (x.strip() for x in line.partition("="))
+            if not eq or key in seen or key not in {f.name for f in fields(cls)}:
+                raise ckpt_io.CheckpointError(
+                    f"checkpoint [data] block: unknown, repeated or malformed line {line!r:.60}")
+            seen.add(key)
+            if key.endswith("_vocab"):
+                setattr(info, key, Vocabulary(raw.split()))
+            elif raw.isdecimal() and len(raw) <= 10:  # a stored dim is a u32
                 setattr(info, key, int(raw))
-            elif key == "src_vocab":
-                info.src_vocab = Vocabulary(raw.split())
-            elif key == "tgt_vocab":
-                info.tgt_vocab = Vocabulary(raw.split())
+            else:
+                raise ckpt_io.CheckpointError(
+                    f"checkpoint [data] block: {key} = {raw!r:.60} is not a u32 count")
         return info
 
 
@@ -446,6 +452,7 @@ def model_from_checkpoint(ckpt: ckpt_io.Checkpoint) -> tuple[FusionModel, Experi
     cfg_text, _, data_text = ckpt.config_text.partition("[data]")
     cfg = parse_config_text(cfg_text)
     info = DataInfo.from_text(data_text)
+    _check_data_info(cfg, info, ckpt.tensors)
     model = FusionModel(cfg, info, np.random.default_rng(0))
     expected = set(model.parameters()) | set(model.buffers())
     got = set(ckpt.tensors)
@@ -462,6 +469,27 @@ def model_from_checkpoint(ckpt: ckpt_io.Checkpoint) -> tuple[FusionModel, Experi
         model.set_buffer(name, ckpt.tensors[name])
     model.eval()
     return model, cfg, info
+
+
+def _check_data_info(cfg: ExperimentConfig, info: DataInfo,
+                     tensors: dict[str, np.ndarray]) -> None:
+    """Raise CheckpointError unless info has the vocabularies cfg's model
+    needs, and each width or class count that sizes one of its layers is the
+    length of the tensor stored for it. Runs before the model is built, so
+    no count from the [data] block sizes an allocation unchecked."""
+    sized = {f"{m}_dim": f"{m}_enc.norm_mean" for m in ("video", "speech")
+             if m in cfg.modalities}
+    if cfg.task == "classification":
+        sized["n_classes"] = "head.fc2.b"
+    for key, name in sized.items():
+        value, shape = getattr(info, key), getattr(tensors.get(name), "shape", None)
+        if value < 1 or shape != (value,):
+            raise ckpt_io.CheckpointError(f"checkpoint [data] block: {key} = {value} "
+                                          f"does not match tensor {name} of shape {shape}")
+    for key, needed in (("src_vocab", "text" in cfg.modalities),
+                        ("tgt_vocab", cfg.task == "translation")):
+        if needed and getattr(info, key) is None:
+            raise ckpt_io.CheckpointError(f"checkpoint [data] block: no {key} line")
 
 
 def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
@@ -517,7 +545,8 @@ def read_dataset_for(path, cfg: ExperimentConfig,
                      info: DataInfo | None = None) -> list[RawSample]:
     """read_dataset, then check that every row has what the task and the
     modalities of cfg need and, given info, the vector widths and class count
-    the model was built for. A dataset that does not fit raises ConfigError."""
+    the model was built for. Without info, a training set's labels must lie
+    below its row count. A dataset that does not fit raises ConfigError."""
     samples = read_dataset(path)
     if not samples:
         raise ConfigError(f"{path}: no samples")
@@ -528,9 +557,11 @@ def read_dataset_for(path, cfg: ExperimentConfig,
     for lineno, s in enumerate(samples, start=2):
         if getattr(s, need) is None:
             raise ConfigError(f"{path}:{lineno}: {cfg.task} needs a {what}")
-        if info is not None and need == "label" and s.label >= info.n_classes:
-            raise ConfigError(f"{path}:{lineno}: class label {s.label} out of "
-                              f"range [0, {info.n_classes})")
+        if need == "label":
+            bound = len(samples) if info is None else info.n_classes
+            if s.label >= bound:
+                raise ConfigError(f"{path}:{lineno}: class label {s.label} out of "
+                                  f"range [0, {bound})")
         for m in cfg.modalities:
             value = getattr(s, "text_tokens" if m == "text" else m)
             if value is None:

@@ -67,11 +67,6 @@ class Module:
             c.eval()
 
 
-def count_parameters(module: Module) -> int:
-    return int(np.sum([t.size for t in module.parameters().values()], dtype=np.int64)) \
-        if module.parameters() else 0
-
-
 class Affine(Module):
     """x @ W + b with W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), b = 0."""
 

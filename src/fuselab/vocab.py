@@ -19,12 +19,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, UNK) for t in tokens]
 
-    def decode(self, ids: list[int], keep_reserved: bool = False) -> list[str]:
-        toks = [self.id_to_token[i] for i in ids]
-        if keep_reserved:
-            return toks
-        return [t for t in toks if t not in RESERVED]
-
     @classmethod
     def from_corpus(cls, sentences) -> "Vocabulary":
         tokens: list[str] = []

@@ -1,3 +1,4 @@
+import inspect
 import zlib
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuselab import autodiff as ad
-from fuselab.autodiff import AutodiffError, DimensionError, DomainError, Tensor
-from fuselab.gradcheck import check_gradients
+from fuselab.autodiff import AutodiffError, DimensionError, Tensor
+from fuselab.gradcheck import check_gradients, gradcheck_cases
 
 
 def rand(rng, *shape, lo=-2.0, hi=2.0, grad=True):
@@ -49,11 +50,6 @@ def test_tanh_gradient_at_zero():
     x = Tensor([0.0], requires_grad=True)
     ad.sum(ad.tanh(x)).backward()
     assert x.grad[0] == 1.0
-
-
-def test_log_domain_error():
-    with pytest.raises(DomainError):
-        ad.log(Tensor([1.0, -1.0]))
 
 
 def test_concat_widths():
@@ -159,16 +155,15 @@ def test_random_five_layer_composite_gradcheck(seed):
         h1 = ad.tanh(ad.matmul(x, W1) + b)
         h2 = ad.sigmoid(ad.matmul(h1, W2))
         h3 = ad.leaky_relu(h2 - x, alpha=0.2)
-        h4 = ad.exp(h3 * Tensor(0.3))
-        return ad.mean(ad.log(h4 + Tensor(1.0)))
+        h4 = ad.softmax(h3 * Tensor(3.0), axis=1)
+        return ad.mean(ad.square(h4 - Tensor(0.5)))
 
     check_gradients(fn, [x, W1, W2, b])
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "mul", "div", "tanh", "sigmoid",
-                                "leaky_relu", "exp", "log", "concat", "sum",
-                                "mean", "max", "softmax", "narrow", "reshape",
-                                "transpose", "bmm"])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "sigmoid",
+                                "leaky_relu", "concat", "sum", "mean", "softmax",
+                                "narrow", "reshape", "transpose", "bmm"])
 def test_each_op_gradcheck(op):
     rng = np.random.default_rng(zlib.crc32(op.encode()))
     a, b = rand(rng, 2, 3), rand(rng, 2, 3)
@@ -177,16 +172,12 @@ def test_each_op_gradcheck(op):
         "add": lambda ts: ad.sum(ts[0] + ts[1]),
         "sub": lambda ts: ad.sum(ts[0] - ts[1]),
         "mul": lambda ts: ad.mean(ts[0] * ts[1]),
-        "div": lambda ts: ad.mean(ad.div(ts[0], ts[1] + Tensor(3.0))),
         "tanh": lambda ts: ad.sum(ad.tanh(ts[0])),
         "sigmoid": lambda ts: ad.sum(ad.sigmoid(ts[0])),
         "leaky_relu": lambda ts: ad.sum(ad.leaky_relu(ts[0], alpha=0.2)),
-        "exp": lambda ts: ad.mean(ad.exp(ts[0])),
-        "log": lambda ts: ad.sum(ad.log(ts[0] + Tensor(3.0))),
         "concat": lambda ts: ad.sum(ad.tanh(ad.concat(list(ts), axis=1))),
         "sum": lambda ts: ad.sum(ad.sum(ts[0] * ts[1], axis=1)),
         "mean": lambda ts: ad.sum(ad.mean(ts[0] * ts[1], axis=0)),
-        "max": lambda ts: ad.sum(ad.max(ts[0], axis=1)) + ad.max(ts[1]),
         "softmax": lambda ts: ad.sum(ad.softmax(ts[0], axis=1) * ts[1]),
         "narrow": lambda ts: ad.sum(ad.narrow(ts[0], 1, 1, 2) * ad.narrow(ts[1], 1, 0, 2)),
         "reshape": lambda ts: ad.sum(ad.tanh(ad.reshape(ts[0], (3, 2))) * ad.reshape(ts[1], (3, 2))),
@@ -194,6 +185,16 @@ def test_each_op_gradcheck(op):
         "bmm": lambda ts: ad.sum(ad.bmm(ad.reshape(ts[0], (2, 3, 1)), ad.reshape(ts[1], (2, 1, 3)))),
     }
     check_gradients(fns[op], [a, b])
+
+
+def test_every_graph_op_has_a_gradcheck_case():
+    """A public autodiff function that builds a graph node (calls _make) has
+    a criterion-1 gradcheck entry of the same name."""
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and not name.startswith("_")
+           and fn.__module__ == ad.__name__ and "_make" in fn.__code__.co_names}
+    assert ops >= {"add", "matmul", "softmax"}
+    assert ops - {name for name, _ in gradcheck_cases()} == set()
 
 
 def test_broadcast_bias_style():
@@ -205,7 +206,7 @@ def test_broadcast_bias_style():
 
 
 def test_broadcast_incompatible():
-    for op in (ad.add, ad.sub, ad.mul, ad.div):
+    for op in (ad.add, ad.sub, ad.mul):
         with pytest.raises(DimensionError,
                            match=r"^shapes \(2, 3\) and \(2, 4\) do not broadcast$"):
             op(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
@@ -215,7 +216,6 @@ SKIP_CASES = {
     "add": (ad.add, (3, 4), (4,)),
     "sub": (ad.sub, (3, 1), (3, 4)),
     "mul": (ad.mul, (3, 4), (1, 4)),
-    "div": (ad.div, (3, 4), (3, 4)),
     "matmul": (ad.matmul, (3, 4), (4, 2)),
     "bmm": (ad.bmm, (2, 3, 4), (2, 4, 5)),
 }

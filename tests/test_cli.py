@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fuselab import harness
 from fuselab.checkpoint import load_checkpoint, save_checkpoint
 from fuselab.cli import build_parser, main
 from fuselab.config import ExperimentConfig, parse_config_text
@@ -215,6 +216,8 @@ def misfit_paths(workdir):
     _edit_column(root / "cls_train.tsv", root / "no_speech.tsv", 3, lambda v: "")
     _edit_column(root / "cls_train.tsv", root / "negative.tsv", 1, lambda v: "-1")
     _edit_column(root / "cls_val.tsv", root / "big_label.tsv", 1, lambda v: "7")
+    _edit_column(root / "cls_train.tsv", root / "huge_label.tsv", 1,
+                 lambda v: "1000000000000000")
     _edit_column(mt / "test.tsv", root / "narrow.tsv", 3,
                  lambda v: ",".join(v.split(",")[:3]))
     (root / "empty.tsv").write_text(SCHEMA_HEADER + "\n")
@@ -231,6 +234,7 @@ def misfit_paths(workdir):
             "no_speech": str(root / "no_speech.tsv"),
             "negative": str(root / "negative.tsv"),
             "big_label": str(root / "big_label.tsv"),
+            "huge_label": str(root / "huge_label.tsv"),
             "narrow": str(root / "narrow.tsv"), "empty": str(root / "empty.tsv"),
             "ckpt": str(root / "checkpoint.bin"),
             "cls_ckpt": str(root / "cls_run" / "checkpoint.bin")}
@@ -253,6 +257,9 @@ MISFITS = {
     "negative_class_label": (TRAIN + [
         "--task", "classification", "--train-path", "{negative}", "--val-path", "{cls_val}"],
         "negative"),
+    "train_label_beyond_train_rows": (TRAIN + [
+        "--task", "classification", "--train-path", "{huge_label}",
+        "--val-path", "{cls_val}"], "huge_label"),
     "val_label_beyond_train_classes": (TRAIN + [
         "--task", "classification", "--train-path", "{cls}", "--val-path", "{big_label}"],
         "big_label"),
@@ -285,6 +292,73 @@ def test_checkpoint_with_width_key_exit_code_1(misfit_paths, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(old), "--dataset", misfit_paths["mt_val"]])
     assert rc == 1
     assert capsys.readouterr().err == "config error: unknown config key 'text_embed'\n"
+
+
+def _edit_data_block(text, edit):
+    head, _, block = text.partition("[data]\n")
+    return head + "[data]\n" + edit(block)
+
+
+DATA_BLOCK_EDITS = {
+    "no_src_vocab": ("ckpt", lambda b: "".join(
+        ln for ln in b.splitlines(True) if not ln.startswith("src_vocab")), "src_vocab"),
+    "no_speech_dim": ("ckpt", lambda b: "".join(
+        ln for ln in b.splitlines(True) if not ln.startswith("speech_dim")), "speech_dim"),
+    "misspelt_key": ("ckpt", lambda b: b.replace("speech_dim", "speech_dimm"), "speech_dimm"),
+    "negative_width": ("ckpt", lambda b: b.replace("speech_dim = 16", "speech_dim = -3"),
+                       "speech_dim"),
+    "huge_width": ("ckpt", lambda b: b.replace("speech_dim = 16",
+                                               "speech_dim = 1000000000000"), "speech_dim"),
+    "wrong_width": ("ckpt", lambda b: b.replace("video_dim = 24", "video_dim = 25"),
+                    "video_dim"),
+    "not_a_number": ("ckpt", lambda b: b.replace("video_dim = 24", "video_dim = 2x4"),
+                     "video_dim"),
+    "too_many_digits": ("ckpt", lambda b: b.replace("video_dim = 24",
+                                                    "video_dim = " + "1" * 5000), "video_dim"),
+    "line_without_equals": ("ckpt", lambda b: "speech_dim 16\n" + b, "speech_dim 16"),
+    "duplicate_key": ("ckpt", lambda b: b + "video_dim = 24\n", "video_dim"),
+    "huge_class_count": ("cls_ckpt", lambda b: b.replace(
+        "n_classes = 4", "n_classes = 1000000000000"), "n_classes"),
+}
+
+
+@pytest.mark.parametrize("which, edit, key", DATA_BLOCK_EDITS.values(),
+                         ids=list(DATA_BLOCK_EDITS))
+def test_malformed_data_block_exit_code_2(misfit_paths, tmp_path, capsys, monkeypatch,
+                                          which, edit, key):
+    ckpt = load_checkpoint(misfit_paths[which])
+    edited = _edit_data_block(ckpt.config_text, edit)
+    assert edited != ckpt.config_text
+    ckpt.config_text = edited
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, ckpt)
+
+    def build(*args, **kwargs):
+        raise AssertionError("the model was built from a malformed [data] block")
+
+    monkeypatch.setattr(harness, "FusionModel", build)
+    dataset = misfit_paths["mt_val" if which == "ckpt" else "cls_val"]
+    rc = main(["eval", "--checkpoint", str(bad), "--dataset", dataset])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("runtime error: checkpoint [data] block: ")
+    assert key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("task, kind, modalities", [
+    ("translation", "translation", "speech,text"),
+    ("classification", "interaction", "video,text"),
+])
+def test_bimodal_gan_with_text_trains(tmp_path, capsys, task, kind, modalities):
+    """The non-text module's one complement, the text latent, is wider than
+    the fused width; every parameter that maps it there must get a gradient."""
+    assert main(["gen-data", "--kind", kind, "--n", "60", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    rc = main(["train", "--task", task, "--fusion", "gan", "--modalities", modalities,
+               "--epochs", "1", "--train-path", str(tmp_path / "train.tsv"),
+               "--val-path", str(tmp_path / "val.tsv"),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_gradcheck_command(capsys):

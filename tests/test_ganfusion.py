@@ -43,7 +43,7 @@ def test_trimodal_text_module_complements_exclude_text(rng):
 def test_bimodal_single_complement_is_projected_or_identity(rng):
     stack = make_stack(rng, {"speech": 6, "text": 6}, d_fuse=6)
     mod = stack.modules["text"]
-    assert mod.inner is None and mod.proj is None  # width matches d_r
+    assert mod.inner is None  # width matches d_r
     bundle = make_bundle(rng, {"speech": 6, "text": 6})
     fwd = mod.gan_forward(bundle, rng)
     np.testing.assert_array_equal(fwd.z_tr.data, bundle.latents["speech"].data)
@@ -51,11 +51,17 @@ def test_bimodal_single_complement_is_projected_or_identity(rng):
 
 
 def test_bimodal_width_mismatch_projects(rng):
+    """A single complement narrower than d_r is autofused, and its
+    reconstruction loss gives every inner parameter a gradient."""
     stack = make_stack(rng, {"speech": 4, "text": 6}, d_fuse=6)
-    assert stack.modules["text"].proj is not None
+    mod = stack.modules["text"]
+    assert mod.inner.input_dims == [4]
     bundle = make_bundle(rng, {"speech": 4, "text": 6})
-    fwd = stack.modules["text"].gan_forward(bundle, rng)
+    fwd = mod.gan_forward(bundle, rng)
     assert fwd.z_tr.shape == (4, 6)
+    assert fwd.inner_loss.item() > 0.0
+    fwd.inner_loss.backward()
+    assert all(t.grad is not None for t in mod.inner.parameters().values())
 
 
 def test_unimodal_fusion_unavailable(rng):

@@ -236,14 +236,6 @@ def test_dropout_gradient_matches_mask(rng):
     np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0)
 
 
-def test_count_parameters_affine(rng):
-    assert layers.count_parameters(layers.Affine(10, 5, rng)) == 55
-
-
-def test_count_parameters_empty():
-    assert layers.count_parameters(layers.Module()) == 0
-
-
 def test_parameter_names_unique_and_dotted(rng):
     m = layers.Module()
     m.add_child("enc", layers.Affine(2, 2, rng))
