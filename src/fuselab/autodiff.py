@@ -1,10 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every tensor produced by an op keeps a backward closure and references to its
-parents; ``backward()`` on a scalar replays the graph in reverse topological
-order and accumulates gradients into every reachable tensor that has
-``requires_grad`` set. Gradients accumulate across backward calls; callers
-zero them between optimizer steps.
+Every tensor produced by an op on a grad-tracked input keeps a backward
+closure and references to its parents; ``backward()`` on a scalar replays
+those closures in reverse topological order and accumulates gradients into
+every reachable tensor that has ``requires_grad`` set. Leaves (parameters and
+inputs) are never visited, only accumulated into. Gradients accumulate across
+backward calls; callers zero them between optimizer steps.
+
+Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu, square;
+matmul, bmm and affine (``x @ W + b`` as one node); concat, narrow, reshape,
+transpose; sum, mean, softmax.
+
+Gradients are not copied: a ``.grad`` may be the very array a child's backward
+handed over, shared with other tensors' grads, so grads are read-only. An
+accumulation rebinds (``grad = grad + g``) instead of adding in place, and no
+backward closure changes an array after handing it over.
 """
 
 from __future__ import annotations
@@ -50,13 +60,9 @@ class Tensor:
 
     # -- gradient plumbing ---------------------------------------------------
     def _accumulate(self, g: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            # a copy: g may be a view of another node's gradient
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        if self.requires_grad:
+            # never in place: the grad may alias another tensor's
+            self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -87,15 +93,20 @@ def _lift(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward_fn
+    out = Tensor(data)
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward_fn
+            break
     return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that were broadcast in the forward pass."""
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
@@ -215,6 +226,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bw)
 
 
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one node: x (n, d_in), W (d_in, d_out), b (d_out,)."""
+    xd, wd = x.data, W.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] \
+            or b.data.shape != wd.shape[1:]:
+        raise DimensionError(f"affine shape mismatch: {x.shape} x {W.shape} + {b.shape}")
+    out_data = xd @ wd + b.data
+
+    def bw(g):
+        if x.requires_grad:
+            x._accumulate(g @ wd.T)
+        if W.requires_grad:
+            W._accumulate(xd.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _make(out_data, (x, W, b), bw)
+
+
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matmul: (B,m,k) @ (B,k,n) -> (B,m,n)."""
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
@@ -242,12 +272,15 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         ):
             raise DimensionError(f"concat shape mismatch: {[t.shape for t in tensors]}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
+    lead = (slice(None),) * (axis % len(ref))
+    pieces, start = [], 0
+    for t in tensors:
+        pieces.append(lead + (slice(start, start + t.shape[axis]),))
+        start += t.shape[axis]
 
     def bw(g):
-        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-            t._accumulate(piece)
+        for t, piece in zip(tensors, pieces):
+            t._accumulate(g[piece])
 
     return _make(out_data, tuple(tensors), bw)
 
@@ -300,24 +333,22 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
     out_data = x.data.sum(axis=axis)
 
     def bw(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.shape).copy())
-        else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+        full = np.empty(x.shape)
+        full[...] = g if axis is None else np.expand_dims(g, axis)
+        x._accumulate(full)
 
     return _make(out_data, (x,), bw)
 
 
 def mean(x: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(x, axis)
-    out_data = x.data.mean(axis=axis)
     n = x.data.size if axis is None else x.shape[axis]
+    out_data = x.data.sum(axis=axis) / n    # np.mean's own sum, then divide
 
     def bw(g):
-        if axis is None:
-            x._accumulate(np.broadcast_to(g / n, x.shape).copy())
-        else:
-            x._accumulate(np.broadcast_to(np.expand_dims(g, axis) / n, x.shape).copy())
+        full = np.empty(x.shape)
+        full[...] = (g if axis is None else np.expand_dims(g, axis)) / n
+        x._accumulate(full)
 
     return _make(out_data, (x,), bw)
 
@@ -340,33 +371,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Propagate d(loss)/d(tensor) into every reachable requires_grad tensor.
 
-    The loss must be scalar. A graph can be consumed only once; building a
-    fresh forward pass is required between backward calls over shared nodes.
+    The loss must be scalar. Only nodes with a backward closure are visited:
+    a leaf is accumulated into, never visited. A graph can be consumed only
+    once; a backward that reaches a node an earlier call consumed raises
+    before any closure runs, as replaying it would count its old gradient
+    again.
     """
     if loss.data.size != 1:
         raise AutodiffError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise AutodiffError("backward called twice on a consumed graph")
 
     topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack = [(loss, False)]
+    visited: set[Tensor] = set()
+    stack = [(loss, False)] if loss._backward is not None else []
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        if node._consumed:
+            raise AutodiffError("backward reached a node consumed by an earlier backward call")
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
+            if p._backward is not None and p not in visited:
                 stack.append((p, False))
 
     loss._accumulate(np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None:
-            node._backward(node.grad if node is loss or node.grad is not None
-                           else np.zeros_like(node.data))
+        node._backward(node.grad if node.grad is not None else np.zeros_like(node.data))
         node._consumed = True

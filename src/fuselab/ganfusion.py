@@ -64,8 +64,8 @@ class Discriminator(Module):
             w2, b2 = self.fc2.W.detach(), self.fc2.b.detach()
         else:
             w1, b1, w2, b2 = self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b
-        h = ad.leaky_relu(ad.matmul(x, w1) + b1, alpha=0.2)
-        return ad.sigmoid(ad.matmul(h, w2) + b2)
+        h = ad.leaky_relu(ad.affine(x, w1, b1), alpha=0.2)
+        return ad.sigmoid(ad.affine(h, w2, b2))
 
 
 @dataclass

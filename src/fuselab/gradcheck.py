@@ -131,7 +131,7 @@ def gradcheck_cases():
     def build_affine(rng):
         layer = Affine(3, 2, rng)
         x = t(rng, 4, 3)
-        return (lambda ts: ad.sum(ad.square(ad.matmul(ts[0], ts[1]) + ts[2])),
+        return (lambda ts: ad.sum(ad.square(ad.affine(ts[0], ts[1], ts[2]))),
                 [x, layer.W, layer.b])
 
     def build_lstm_step(rng):

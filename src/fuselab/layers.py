@@ -77,7 +77,7 @@ class Affine(Module):
         self.b = self.add_param("b", np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.matmul(x, self.W) + self.b
+        return ad.affine(x, self.W, self.b)
 
 
 class Embedding(Module):

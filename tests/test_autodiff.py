@@ -121,6 +121,19 @@ def test_backward_twice_rejected():
         loss.backward()
 
 
+def test_backward_into_consumed_node_rejected():
+    """A second backward that reaches an intermediate node consumed by an
+    earlier one would count that node's old gradient again (x.grad 16, where
+    12 is right); it raises before any closure runs."""
+    x = Tensor([2.0], requires_grad=True)
+    y = x * x
+    ad.sum(y).backward()
+    x.zero_grad()
+    with pytest.raises(AutodiffError, match="consumed"):
+        ad.sum(y * Tensor(3.0)).backward()
+    assert x.grad is None
+
+
 def test_grad_accumulates_across_backward_calls():
     x = Tensor([2.0], requires_grad=True)
     ad.sum(x * x).backward()
@@ -141,6 +154,75 @@ def test_first_gradient_is_not_aliased():
     ad.sum(ad.reshape(x, (12,))).backward()     # a fresh graph accumulates on top
     np.testing.assert_array_equal(x.grad, first + 1.0)
     np.testing.assert_array_equal(y.grad, 2.0 * y.data)
+
+
+def test_shared_upstream_grad_is_never_written_through():
+    """add hands one upstream grad to two same-shape parents without a copy;
+    a second contribution to one parent, in the same backward or a later
+    one, leaves the other parent's grad and the upstream array as they were."""
+    rng = np.random.default_rng(3)
+    a, b = rand(rng, 3, 4), rand(rng, 3, 4)
+    w, c = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 4)))
+    s = a + b
+    (ad.sum(s * w) + ad.sum(a * c)).backward()
+    upstream = s.grad
+    assert b.grad is upstream
+    np.testing.assert_array_equal(upstream, w.data)
+    np.testing.assert_array_equal(a.grad, w.data + c.data)
+
+    a.zero_grad(), b.zero_grad()
+    ad.sum((a + b) * w).backward()
+    shared = a.grad
+    assert b.grad is shared
+    ad.sum(a * c).backward()                    # accumulates into a alone
+    assert b.grad is shared
+    np.testing.assert_array_equal(shared, w.data)
+    np.testing.assert_array_equal(a.grad, w.data + c.data)
+
+
+def test_affine_is_bytewise_matmul_then_add():
+    rng = np.random.default_rng(4)
+    data = [rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)]
+    weight = Tensor(rng.normal(size=(5, 3)))
+
+    def run(op):
+        ts = [Tensor(d.copy(), requires_grad=True) for d in data]
+        out = op(*ts)
+        ad.sum(ad.tanh(out) * weight).backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+    assert run(ad.affine) == run(lambda x, W, b: ad.matmul(x, W) + b)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["2d", "3d"])
+@pytest.mark.parametrize("axis", [None, 0, 1, -1])
+def test_sum_and_mean_are_bytewise_numpy(shape, axis):
+    """Forward against np.sum and np.mean; backward against broadcasting
+    the upstream grad (divided by the count, for mean) and copying it."""
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=shape)
+    n = data.size if axis is None else shape[axis]
+    for op, ref, count in ((ad.sum, np.sum, 1), (ad.mean, np.mean, n)):
+        x = Tensor(data.copy(), requires_grad=True)
+        out = op(x, axis=axis)
+        assert np.asarray(out.data).tobytes() == np.asarray(ref(data, axis=axis)).tobytes()
+        g = rng.normal(size=out.shape)
+        ad.sum(out * Tensor(g)).backward()
+        up = g if axis is None else np.expand_dims(g, axis)
+        expect = np.broadcast_to(up / count, shape).copy()
+        assert x.grad.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_pieces_are_bytewise_split(axis):
+    rng = np.random.default_rng(6)
+    widths = (1, 3, 2)
+    parts = [rand(rng, *[w if k == axis % 2 else 4 for k in range(2)]) for w in widths]
+    out = ad.concat(parts, axis=axis)
+    g = rng.normal(size=out.shape)
+    ad.sum(out * Tensor(g)).backward()
+    for t, piece in zip(parts, np.split(g, np.cumsum(widths)[:-1], axis=axis)):
+        assert t.grad.tobytes() == piece.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -218,17 +300,19 @@ SKIP_CASES = {
     "mul": (ad.mul, (3, 4), (1, 4)),
     "matmul": (ad.matmul, (3, 4), (4, 2)),
     "bmm": (ad.bmm, (2, 3, 4), (2, 4, 5)),
+    "affine": (ad.affine, (3, 4), (4, 2), (2,)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SKIP_CASES))
-@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("name,frozen", [
+    pytest.param(name, k, id=f"{k}-{name}")
+    for k in range(3) for name in sorted(SKIP_CASES) if k < len(SKIP_CASES[name]) - 1])
 def test_backward_skips_operand_without_grad(name, frozen):
-    """An operand that does not require grad gets none, and the other
-    operand's grad is bit-identical to the one it gets when both do."""
-    op, shape_a, shape_b = SKIP_CASES[name]
+    """An operand that does not require grad gets none, and every other
+    operand's grad is bit-identical to the one it gets when all do."""
+    op, *shapes = SKIP_CASES[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
-    data = [rng.uniform(0.5, 2.0, size=shape_a), rng.uniform(0.5, 2.0, size=shape_b)]
+    data = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
 
     def grads(requires):
         ts = [Tensor(d.copy(), requires_grad=r) for d, r in zip(data, requires)]
@@ -237,11 +321,12 @@ def test_backward_skips_operand_without_grad(name, frozen):
         ad.sum(out * weight).backward()
         return [t.grad for t in ts]
 
-    both = grads([True, True])
-    one = grads([k != frozen for k in range(2)])
-    live = 1 - frozen
-    assert one[frozen] is None
-    assert one[live].tobytes() == both[live].tobytes()
+    every = grads([True] * len(data))
+    some = grads([k != frozen for k in range(len(data))])
+    assert some[frozen] is None
+    for k in range(len(data)):
+        if k != frozen:
+            assert some[k].tobytes() == every[k].tobytes()
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,15 +1,19 @@
-"""Graph-size budgets for the translation path.
+"""Graph-size budgets for the translation path and the GAN-Fusion step.
 
 The encoder and the teacher-forced decoder run each sequence as one LSTM
 node and batch the per-step math over all steps, so the graph they build does
 not grow with the sequence length; a change that adds per-step work fails
-here.
+here. An affine layer is one node, bias add included, so a GAN-Fusion step
+builds a fixed number of nodes; a layer split back into two fails here.
 """
 
 import numpy as np
 
 from fuselab import autodiff as ad
+from fuselab import data as data_mod
+from fuselab import harness
 from fuselab.autodiff import Tensor
+from fuselab.config import ExperimentConfig
 from fuselab.encoders import TextEncoder
 from fuselab.heads import AttentiveDecoder
 from fuselab.vocab import EOS, PAD
@@ -56,3 +60,25 @@ def test_teacher_forced_loss_nodes_per_target_step():
         return graph_size(dec.teacher_forced_loss(z, states, np.ones((2, 3)), targets))
 
     assert nodes(5) == nodes(4)
+
+
+def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
+    samples = data_mod.gen_interaction_dataset(12, seed=3, noise=0.3)
+    paths = {}
+    for name, part in (("train", samples[:8]), ("val", samples[8:])):
+        paths[name] = str(tmp_path / f"{name}.tsv")
+        data_mod.write_dataset(paths[name], part)
+    sizes = []
+    backward = ad.backward
+
+    def counted(loss):
+        sizes.append(graph_size(loss))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    # one step: the whole train split is one batch
+    harness.train(ExperimentConfig(
+        task="classification", fusion="gan", modalities=("video", "speech"),
+        epochs=1, batch_size=8, noise_sigma=1.0, seed=5,
+        train_path=paths["train"], val_path=paths["val"]))
+    assert sizes == [39, 56]        # d_loss, then j_total
