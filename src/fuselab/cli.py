@@ -67,7 +67,8 @@ def cmd_gen_data(args) -> int:
     else:
         samples = data_mod.gen_toy_translation(
             args.n, args.seed, vocab_size=args.vocab_size,
-            ambiguity_rate=args.ambiguity_rate, noise=args.noise)
+            ambiguity_rate=args.ambiguity_rate, noise=args.noise,
+            topic_skew=0.6)     # the skew the criteria and the benchmark draw with
     train, val, test = data_mod.split_dataset(samples)
     out = args.out or os.environ.get("FUSELAB_OUT", ".")
     os.makedirs(out, exist_ok=True)

@@ -99,6 +99,8 @@ def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
         raise ValueError("vocab_size must be >= 20")
     if not 0.0 <= ambiguity_rate <= 1.0:
         raise ValueError("ambiguity_rate must lie in [0, 1]")
+    if not 0.0 <= topic_skew <= 1.0:
+        raise ValueError("topic_skew must lie in [0, 1]")
 
     n_homo = max(1, vocab_size // 4) if ambiguity_rate > 0 else 0
     homographs = [f"s{j:02d}" for j in range(n_homo)]
@@ -201,13 +203,21 @@ def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str
 def read_dataset(path) -> list[RawSample]:
     samples = []
     widths: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte becomes a lone surrogate, so it can be reported
+    # with its line rather than as an offset into the file
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         if header != SCHEMA_HEADER:
             raise SchemaError(f"bad schema header in {path}: {header!r}")
         for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
             where = f"{path}:{lineno}"
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise SchemaError(f"{where}: byte 0x{byte:02x} is not UTF-8") from None
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 5:
                 raise SchemaError(f"{where}: expected 5 fields, got {len(fields)}")
             topic, label_or_target, text, speech, video = fields
@@ -215,11 +225,19 @@ def read_dataset(path) -> list[RawSample]:
                 topic_id = int(topic)
             except ValueError:
                 raise SchemaError(f"{where}: topic {topic!r} is not an integer") from None
-            is_label = label_or_target.strip().isdigit()
+            label = None
+            if label_or_target.strip().isdigit():       # a class label
+                if not label_or_target.strip().isascii():
+                    raise SchemaError(f"{where}: class label {label_or_target!r} "
+                                      "is not made of ASCII digits")
+                try:
+                    label = int(label_or_target)
+                except ValueError as exc:
+                    raise SchemaError(f"{where}: class label: {exc}") from None
             samples.append(RawSample(
                 topic=topic_id,
-                label=int(label_or_target) if is_label else None,
-                target_tokens=None if is_label else label_or_target.split(),
+                label=label,
+                target_tokens=None if label is not None else label_or_target.split(),
                 text_tokens=text.split() if text else None,
                 speech=_parse_vector(speech, "speech", widths, where),
                 video=_parse_vector(video, "video", widths, where),

@@ -80,13 +80,11 @@ class AttentiveDecoder(Module):
         states (b, L, eh), then the output layer: returns (logits (b*T, V),
         attention weights (b, T, L)). Row i*T + j of the logits is step j of
         batch row i."""
-        if np.any(mask.sum(axis=1) == 0):
-            raise ValueError("attention has no unmasked source position")
         b, T, hd = hs.shape
         eh = states.shape[2]
         q = ad.reshape(ad.matmul(ad.reshape(hs, (b * T, hd)), self.attn_W), (b, T, eh))
         scores = ad.bmm(q, ad.transpose(states, (0, 2, 1)))          # (b, T, L)
-        scores = scores + Tensor(np.where(mask > 0.0, 0.0, -1e9)[:, None, :])
+        scores = scores + Tensor(_mask_bias(mask))
         weights = ad.softmax(scores, axis=2)
         context = ad.bmm(weights, states)                              # (b, T, eh)
         feats = ad.reshape(ad.concat([hs, context], axis=2), (b * T, hd + eh))
@@ -124,21 +122,24 @@ class AttentiveDecoder(Module):
                       max_len: int) -> list[list[int]]:
         """Argmax decoding from SOS until EOS or max_len, per batch row.
 
+        Runs on arrays and builds no graph node: the mask bias and the
+        initial state are made once per batch, then each step is
+        ``_array_step``, whose results equal ``decode_step``'s bit for bit.
         A row leaves the batch at the step that emits its EOS, so each step
-        runs only the live rows. The state is carried as arrays, so no step
-        keeps the graph of the one before.
+        runs only the live rows.
         """
+        bias = _mask_bias(mask)
         z, st = z_fuse.data, states.data
-        h, c = (t.data for t in self.init_state(Tensor(z)))
+        h = np.tanh(z @ self.bridge.W.data + self.bridge.b.data)
+        c = np.zeros(h.shape)
         b = z.shape[0]
         tokens = np.zeros((b, max_len), dtype=np.int64)
         length = np.full(b, max_len)
         rows = np.arange(b)                    # batch row of each live row
         prev = np.full(b, SOS, dtype=np.int64)
         for t in range(max_len):
-            logits, h_t, c_t, _ = self.decode_step(
-                prev, Tensor(h), Tensor(c), Tensor(z), Tensor(st), mask)
-            prev, h, c = logits.data.argmax(axis=1), h_t.data, c_t.data
+            logits, h, c = self._array_step(prev, h, c, z, st, bias)
+            prev = logits.argmax(axis=1)
             tokens[rows, t] = prev
             ended = prev == EOS
             if ended.any():
@@ -146,6 +147,34 @@ class AttentiveDecoder(Module):
                 live = ~ended
                 if not live.any():
                     break
-                rows, prev, h, c = rows[live], prev[live], h[live], c[live]
-                z, st, mask = z[live], st[live], mask[live]
+                rows, prev, h, c, z, st, bias = (
+                    a[live] for a in (rows, prev, h, c, z, st, bias))
         return [tokens[i, :length[i]].tolist() for i in range(b)]
+
+    def _array_step(self, prev, h, c, z, states, bias):
+        """``decode_step`` on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
+        states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c'). Every op
+        and operand layout is the graph's, so the results are bitwise equal."""
+        hd = self.hidden
+        x = self.embed.table.data[prev]
+        if self.condition_every_step:
+            x = np.concatenate([x, z], axis=1)
+        n = x.shape[0]
+        hc = np.empty((n, 2 * hd))
+        self.cell.step_into(x @ self.cell.W.data, h, c,
+                            np.empty((n, 4 * hd)), np.empty((n, hd)), hc)
+        h = hc[:, :hd]
+        scores = (h @ self.attn_W.data)[:, None] @ states.transpose(0, 2, 1) + bias
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        weights = e / e.sum(axis=2, keepdims=True)
+        context = (weights @ states)[:, 0]
+        logits = np.concatenate([h, context], axis=1) @ self.out.W.data + self.out.b.data
+        return logits, h, hc[:, hd:]
+
+
+def _mask_bias(mask: np.ndarray) -> np.ndarray:
+    """Attention score bias (b, 1, L): 0 at source positions with mask > 0,
+    -1e9 at the others. Every row needs one unmasked position."""
+    if np.any(mask.sum(axis=1) == 0):
+        raise ValueError("attention has no unmasked source position")
+    return np.where(mask > 0.0, 0.0, -1e9)[:, None, :]

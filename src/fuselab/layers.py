@@ -145,14 +145,7 @@ class LSTMCell(Module):
         hc = np.empty((L + 1, b, 2 * hd))   # [h; c] before step 0, then after each
         hc[0, :, :hd], hc[0, :, hd:] = h0.data, c0.data
         for t in range(L):
-            gates = xw[t] + hc[t, :, :hd] @ U.data + bias.data
-            a = acts[t]
-            a[:, :3 * hd] = ad._sigmoid(gates[:, :3 * hd])
-            np.tanh(gates[:, 3 * hd:], out=a[:, 3 * hd:])
-            c = a[:, hd:2 * hd] * hc[t, :, hd:] + a[:, :hd] * a[:, 3 * hd:]
-            np.tanh(c, out=tanh_c[t])
-            hc[t + 1, :, hd:] = c
-            np.multiply(a[:, 2 * hd:3 * hd], tanh_c[t], out=hc[t + 1, :, :hd])
+            self.step_into(xw[t], hc[t, :, :hd], hc[t, :, hd:], acts[t], tanh_c[t], hc[t + 1])
         out = hc[1:].transpose(1, 0, 2)
 
         def bw(g):
@@ -180,6 +173,25 @@ class LSTMCell(Module):
             c0._accumulate(dc)
 
         return ad._make(out, (x, h0, c0, W, U, bias), bw)
+
+    def step_into(self, xw_t: np.ndarray, h: np.ndarray, c: np.ndarray,
+                  acts: np.ndarray, tanh_c: np.ndarray, hc: np.ndarray) -> None:
+        """One step on arrays, the gate math of every LSTM path.
+
+        From the input projection xw_t = x_t @ W (n, 4h) and the state h, c
+        (n, h): gates = xw_t + h @ U + b. Writes the gates after their
+        nonlinearity (i, f, o, g) into acts (n, 4h), tanh(c') into tanh_c
+        (n, h) and [h'; c'] into hc (n, 2h); h and c are read before hc is
+        written.
+        """
+        hd = self.d_hidden
+        gates = xw_t + h @ self.U.data + self.b.data
+        acts[:, :3 * hd] = ad._sigmoid(gates[:, :3 * hd])
+        np.tanh(gates[:, 3 * hd:], out=acts[:, 3 * hd:])
+        c_new = acts[:, hd:2 * hd] * c + acts[:, :hd] * acts[:, 3 * hd:]
+        np.tanh(c_new, out=tanh_c)
+        hc[:, hd:] = c_new
+        np.multiply(acts[:, 2 * hd:3 * hd], tanh_c, out=hc[:, :hd])
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         z = np.zeros((batch, self.d_hidden))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from fuselab import data as data_mod
 from fuselab import harness
 from fuselab.checkpoint import load_checkpoint, save_checkpoint
 from fuselab.cli import build_parser, main
@@ -39,6 +40,17 @@ def test_gen_data_interaction(tmp_path):
     assert rc == 0
     samples = read_dataset(tmp_path / "train.tsv")
     assert all(s.label is not None for s in samples)
+
+
+def test_gen_data_translation_writes_generator_corpus(tmp_path):
+    rc = main(["gen-data", "--kind", "translation", "--n", "60", "--seed", "3",
+               "--ambiguity-rate", "0.3", "--out", str(tmp_path / "cli")])
+    assert rc == 0
+    samples = data_mod.gen_toy_translation(60, 3, ambiguity_rate=0.3, topic_skew=0.6)
+    for name, part in zip(("train", "val", "test"), data_mod.split_dataset(samples)):
+        data_mod.write_dataset(tmp_path / f"{name}.tsv", part)
+        assert ((tmp_path / "cli" / f"{name}.tsv").read_bytes()
+                == (tmp_path / f"{name}.tsv").read_bytes())
 
 
 def test_train_eval_ablate_pipeline(workdir):

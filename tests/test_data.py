@@ -1,9 +1,16 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuselab import checkpoint as ckpt_io
 from fuselab import data as fdata
+from fuselab import harness
+from fuselab.cli import main
+from fuselab.config import ExperimentConfig
 from fuselab.data import (RawSample, SchemaError, apply_word_drop,
                           gen_interaction_dataset, gen_toy_translation,
                           read_dataset, reference_translation, split_dataset,
@@ -110,6 +117,12 @@ def test_translation_vocab_floor():
         gen_toy_translation(10, seed=0, vocab_size=19)
 
 
+@pytest.mark.parametrize("skew", [-0.1, 1.5, float("nan")])
+def test_translation_topic_skew_out_of_range(skew):
+    with pytest.raises(ValueError, match=r"topic_skew must lie in \[0, 1\]"):
+        gen_toy_translation(10, seed=0, topic_skew=skew)
+
+
 def test_word_drop_identity_and_saturation():
     rng = np.random.default_rng(0)
     ids = [0, 1, 4, 5, 6]
@@ -179,12 +192,14 @@ def test_dataset_bad_field_count(tmp_path):
 
 
 def _corrupt_field(path, lineno, column, edit):
-    """Rewrite one field of a file: topic (column 0), speech (3) or video (4)."""
+    """Rewrite one field of a file: topic (column 0), label (1), text (2),
+    speech (3) or video (4). A surrogate U+DC80..U+DCFF in the edit is
+    written as the lone byte 0x80..0xFF."""
     lines = path.read_text().splitlines()
     fields = lines[lineno - 1].split("\t")
     fields[column] = edit(fields[column])
     lines[lineno - 1] = "\t".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 @pytest.mark.parametrize("column, edit, message", [
@@ -195,6 +210,9 @@ def _corrupt_field(path, lineno, column, edit):
     (3, lambda v: "abc," + v.split(",", 1)[1],
      "speech vector: could not convert string to float: 'abc'"),
     (0, lambda v: "x", "topic 'x' is not an integer"),
+    (1, lambda v: "\u00b2", "class label '\u00b2' is not made of ASCII digits"),
+    (1, lambda v: "7" * 4301, "class label: Exceeds the limit"),
+    (2, lambda v: v + " caf\udce9", "byte 0xe9 is not UTF-8"),
 ])
 def test_dataset_bad_vector_names_line(tmp_path, column, edit, message):
     path = tmp_path / "bad.tsv"
@@ -202,6 +220,14 @@ def test_dataset_bad_vector_names_line(tmp_path, column, edit, message):
     _corrupt_field(path, 4, column, edit)
     with pytest.raises(SchemaError, match=f"bad.tsv:4: {message}"):
         read_dataset(path)
+
+
+def test_dataset_label_padded_with_unicode_space(tmp_path):
+    path = tmp_path / "pad.tsv"
+    write_dataset(path, gen_interaction_dataset(5, seed=13))
+    _corrupt_field(path, 4, 1, lambda v: v + "\u00a0")
+    assert [s.label for s in read_dataset(path)] == [
+        s.label for s in gen_interaction_dataset(5, seed=13)]
 
 
 def test_split_disjoint_and_complete():
@@ -217,3 +243,76 @@ def test_vocabulary_reserved_and_bijection():
     assert len(v) == 6
     assert v.encode(["a", "b", "zzz"]) == [4, 5, UNK]
     assert [v.token_to_id[t] for t in v.id_to_token] == list(range(len(v)))
+
+
+# -- fuzzing the reader with mutations of a small valid file ------------------
+
+_FUZZ_ROWS = gen_toy_translation(30, seed=14, ambiguity_rate=0.3)
+_CHARS = "0123456789 ,.-+einaft\t\n\u00b2\u00e9"
+_FIELDS = st.one_of(st.text(_CHARS, max_size=8), st.sampled_from(
+    ["", "nan", "-inf", "1e999", "-1", "9" * 4400, "\u00b2", "t00 t01", "s05"]))
+
+
+@st.composite
+def _mutation(draw, text: str) -> str:
+    """One edit, insertion or deletion of a field or a character, or one
+    injected non-UTF-8 byte (as its surrogate-escape character)."""
+    kind = draw(st.sampled_from(["byte", "char", "field", "add_field", "drop_field"]))
+    if kind in ("char", "byte"):
+        pos = draw(st.integers(0, len(text)))
+        if kind == "byte":
+            return text[:pos] + chr(0xDC00 + draw(st.integers(0x80, 0xFF))) + text[pos:]
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        new = "" if op == "delete" else draw(st.sampled_from(_CHARS))
+        return text[:pos] + new + text[pos + (op != "insert"):]
+    lines = text.split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split("\t")
+    j = draw(st.integers(0, len(fields) - (kind != "add_field")))
+    if kind == "drop_field":
+        del fields[j]
+    else:
+        fields[j:j + (kind == "field")] = [draw(_FIELDS)]
+    lines[i] = "\t".join(fields)
+    return "\n".join(lines)
+
+
+@st.composite
+def _mutated_file(draw, text: str) -> bytes:
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(_mutation(text))
+    return text.encode("utf-8", errors="surrogateescape")
+
+
+@pytest.fixture(scope="module")
+def fuzz_setup(tmp_path_factory):
+    """The valid file the fuzz mutates (6 rows), and a GAN translation
+    checkpoint that `fuselab eval` scores the mutated file with."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, part in (("train", _FUZZ_ROWS[:16]), ("val", _FUZZ_ROWS[16:24]),
+                       ("valid", _FUZZ_ROWS[24:])):
+        write_dataset(root / f"{name}.tsv", part)
+    ckpt, _ = harness.train(ExperimentConfig(
+        task="translation", fusion="gan", epochs=1, batch_size=8,
+        train_path=str(root / "train.tsv"), val_path=str(root / "val.tsv")))
+    ckpt_io.save_checkpoint(root / "checkpoint.bin", ckpt)
+    return root, (root / "valid.tsv").read_text()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_parses_or_names_the_file(fuzz_setup, data):
+    root, valid = fuzz_setup
+    path = root / "mutated.tsv"
+    path.write_bytes(data.draw(_mutated_file(valid)))
+    try:
+        samples = read_dataset(path)
+    except SchemaError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert all(isinstance(s, RawSample) for s in samples)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["eval", "--checkpoint", str(root / "checkpoint.bin"),
+                   "--dataset", str(path)])
+    assert rc in (0, 1)

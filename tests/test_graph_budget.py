@@ -3,8 +3,9 @@
 The encoder and the teacher-forced decoder run each sequence as one LSTM
 node and batch the per-step math over all steps, so the graph they build does
 not grow with the sequence length; a change that adds per-step work fails
-here. An affine layer is one node, bias add included, so a GAN-Fusion step
-builds a fixed number of nodes; a layer split back into two fails here.
+here. Greedy decoding runs on arrays and builds no node at all. An affine
+layer is one node, bias add included, so a GAN-Fusion step builds a fixed
+number of nodes; a layer split back into two fails here.
 """
 
 import numpy as np
@@ -60,6 +61,28 @@ def test_teacher_forced_loss_nodes_per_target_step():
         return graph_size(dec.teacher_forced_loss(z, states, np.ones((2, 3)), targets))
 
     assert nodes(5) == nodes(4)
+
+
+def test_greedy_decode_builds_no_node(monkeypatch):
+    rng = np.random.default_rng(0)
+    dec = AttentiveDecoder(vocab_size=9, embed_dim=4, hidden=5, enc_hidden=6,
+                           d_fuse=3, rng=rng, condition_every_step=True)
+    states = Tensor(rng.normal(size=(3, 4, 6)), requires_grad=True)
+    z = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+    mask = np.ones((3, 4))
+    mask[1, 2:] = 0.0
+    made = []
+    make = ad._make
+
+    def counted(*args):
+        made.append(1)
+        return make(*args)
+
+    monkeypatch.setattr(ad, "_make", counted)
+    out = dec.decode_greedy(z, states, mask, max_len=6)
+    assert len(out) == 3 and made == []
+    dec.decode_step(np.full(3, 2), *dec.init_state(z), z, states, mask)
+    assert made                     # the counter does see graph ops
 
 
 def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuselab import autodiff as ad
-from fuselab import layers
+from fuselab import heads, layers
 from fuselab.autodiff import DimensionError, Tensor
 from fuselab.gradcheck import check_gradients
 from fuselab.heads import AttentiveDecoder, ClassifierHead
@@ -233,3 +233,37 @@ def test_greedy_drops_finished_rows_without_changing_tokens(condition_every_step
     lengths = {len(s) for s in out}
     assert 0 in lengths and max_len in lengths and len(lengths) >= 3
     assert all(isinstance(t, int) for s in out for t in s)
+
+
+@pytest.mark.parametrize("condition_every_step", [False, True])
+@pytest.mark.parametrize("width", [5, 64])   # a toy decoder, and a model's widths
+def test_array_step_bitwise_equals_decode_step(condition_every_step, width):
+    rng = np.random.default_rng(43)
+    dec = AttentiveDecoder(vocab_size=40, embed_dim=24, hidden=width, enc_hidden=width + 1,
+                           d_fuse=32, rng=rng, condition_every_step=condition_every_step)
+    b = 64
+    states = Tensor(rng.normal(size=(b, 7, width + 1)))
+    mask = (rng.random((b, 7)) > 0.4).astype(float)
+    mask[:, 0] = 1.0
+    z = Tensor(rng.normal(size=(b, 32)))
+    h, c = dec.init_state(z)
+    h_arr, c_arr = h.data, c.data
+    bias = heads._mask_bias(mask)
+    prev = np.full(b, SOS)
+    for _ in range(5):
+        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        logits_arr, h_arr, c_arr = dec._array_step(prev, h_arr, c_arr, z.data,
+                                                      states.data, bias)
+        for graph, arr in ((logits, logits_arr), (h, h_arr), (c, c_arr)):
+            assert graph.data.tobytes() == np.ascontiguousarray(arr).tobytes()
+        prev = logits_arr.argmax(axis=1)
+
+
+def test_greedy_rejects_row_without_unmasked_position(rng):
+    dec = make_decoder(rng)
+    states = Tensor(rng.normal(size=(2, 3, 6)))
+    z = Tensor(rng.normal(size=(2, 3)))
+    mask = np.ones((2, 3))
+    mask[1] = 0.0
+    with pytest.raises(ValueError, match="no unmasked source position"):
+        dec.decode_greedy(z, states, mask, max_len=4)
