@@ -61,14 +61,21 @@ def _out_dir(cfg: ExperimentConfig) -> str:
 
 
 def cmd_gen_data(args) -> int:
+    # the translation generator's flags; one left unset keeps its default
+    given = {name: value for name, value in (("vocab_size", args.vocab_size),
+                                             ("ambiguity_rate", args.ambiguity_rate))
+             if value is not None}
     if args.kind == "interaction":
+        if given:
+            flag = "--" + next(iter(given)).replace("_", "-")
+            raise ConfigError(f"{flag} applies only to --kind translation")
         samples = data_mod.gen_interaction_dataset(args.n, args.seed,
                                                    noise=args.noise)
     else:
         samples = data_mod.gen_toy_translation(
-            args.n, args.seed, vocab_size=args.vocab_size,
-            ambiguity_rate=args.ambiguity_rate, noise=args.noise,
-            topic_skew=0.6)     # the skew the criteria and the benchmark draw with
+            args.n, args.seed, noise=args.noise,
+            topic_skew=0.6,     # the skew the criteria and the benchmark draw with
+            **given)
     train, val, test = data_mod.split_dataset(samples)
     out = args.out or os.environ.get("FUSELAB_OUT", ".")
     os.makedirs(out, exist_ok=True)
@@ -172,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--vocab-size", type=int, default=24)
-    p.add_argument("--ambiguity-rate", type=float, default=0.0)
+    p.add_argument("--vocab-size", type=int, default=None,
+                   help="translation only; default 24")
+    p.add_argument("--ambiguity-rate", type=float, default=None,
+                   help="translation only; default 0.0")
     p.add_argument("--out", default=None)
     p.add_argument("--prefix", default="")
     p.set_defaults(func=cmd_gen_data)

@@ -200,6 +200,14 @@ def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str
     return v
 
 
+def _shown(field: str, limit: int = 40) -> str:
+    """A field as an error message quotes it: its repr, cut after limit
+    characters."""
+    if len(field) <= limit:
+        return repr(field)
+    return f"{field[:limit]!r}... ({len(field)} characters)"
+
+
 def read_dataset(path) -> list[RawSample]:
     samples = []
     widths: dict[str, int] = {}
@@ -221,14 +229,17 @@ def read_dataset(path) -> list[RawSample]:
             if len(fields) != 5:
                 raise SchemaError(f"{where}: expected 5 fields, got {len(fields)}")
             topic, label_or_target, text, speech, video = fields
+            digits = topic.strip()
             try:
-                topic_id = int(topic)
-            except ValueError:
-                raise SchemaError(f"{where}: topic {topic!r} is not an integer") from None
+                topic_id = int(digits) if digits.isascii() and digits.isdigit() else None
+            except ValueError:                          # more digits than int() converts
+                topic_id = None
+            if topic_id is None:
+                raise SchemaError(f"{where}: topic {_shown(topic)} is not an integer")
             label = None
             if label_or_target.strip().isdigit():       # a class label
                 if not label_or_target.strip().isascii():
-                    raise SchemaError(f"{where}: class label {label_or_target!r} "
+                    raise SchemaError(f"{where}: class label {_shown(label_or_target)} "
                                       "is not made of ASCII digits")
                 try:
                     label = int(label_or_target)

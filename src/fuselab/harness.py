@@ -7,6 +7,7 @@ module at lr / 2, then one Adam step over every non-discriminator parameter.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -116,15 +117,20 @@ def encode_samples(samples: list[RawSample], cfg: ExperimentConfig,
     return encoded
 
 
+def _padded(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Token lists as a PAD-filled (b, longest) int64 matrix, and their lengths."""
+    lengths = np.array([len(s) for s in seqs])
+    ids = np.full((len(seqs), int(lengths.max())), PAD, dtype=np.int64)
+    # a boolean mask fills row by row, the order in which the lists chain
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(seqs), dtype=np.int64, count=int(lengths.sum()))
+    return ids, lengths
+
+
 def make_batch(rows: list[dict], cfg: ExperimentConfig) -> Batch:
     b = Batch()
     if "text" in cfg.modalities:
-        lengths = np.array([len(r["text"]) for r in rows])
-        L = int(lengths.max())
-        ids = np.full((len(rows), L), PAD, dtype=np.int64)
-        for i, r in enumerate(rows):
-            ids[i, :len(r["text"])] = r["text"]
-        b.text_ids, b.lengths = ids, lengths
+        b.text_ids, b.lengths = _padded([r["text"] for r in rows])
     if "speech" in cfg.modalities:
         b.speech = np.stack([r["speech"] for r in rows])
     if "video" in cfg.modalities:
@@ -132,11 +138,7 @@ def make_batch(rows: list[dict], cfg: ExperimentConfig) -> Batch:
     if cfg.task == "classification":
         b.labels = np.array([r["label"] for r in rows])
     else:
-        T = max(len(r["target"]) for r in rows)
-        tgt = np.full((len(rows), T), PAD, dtype=np.int64)
-        for i, r in enumerate(rows):
-            tgt[i, :len(r["target"])] = r["target"]
-        b.targets = tgt
+        b.targets = _padded([r["target"] for r in rows])[0]
     return b
 
 

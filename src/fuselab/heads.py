@@ -122,23 +122,28 @@ class AttentiveDecoder(Module):
                       max_len: int) -> list[list[int]]:
         """Argmax decoding from SOS until EOS or max_len, per batch row.
 
-        Runs on arrays and builds no graph node: the mask bias and the
-        initial state are made once per batch, then each step is
-        ``_array_step``, whose results equal ``decode_step``'s bit for bit.
-        A row leaves the batch at the step that emits its EOS, so each step
-        runs only the live rows.
+        Runs on arrays and builds no graph node: the mask bias, the initial
+        state, -U and the LSTM input projection of every vocabulary entry
+        (V, 4h) are made once per batch, then each step is ``_array_step``,
+        which takes its input rows from that table. Under
+        ``condition_every_step`` the input depends on z, so each step
+        projects it instead, with results equal to ``decode_step``'s bit for
+        bit. A row leaves the batch at the step that emits its EOS, so each
+        step runs only the live rows.
         """
         bias = _mask_bias(mask)
         z, st = z_fuse.data, states.data
         h = np.tanh(z @ self.bridge.W.data + self.bridge.b.data)
         c = np.zeros(h.shape)
+        table = None if self.condition_every_step else self.cell.project(self.embed.table.data)
+        neg_u = -self.cell.U.data
         b = z.shape[0]
         tokens = np.zeros((b, max_len), dtype=np.int64)
         length = np.full(b, max_len)
         rows = np.arange(b)                    # batch row of each live row
         prev = np.full(b, SOS, dtype=np.int64)
         for t in range(max_len):
-            logits, h, c = self._array_step(prev, h, c, z, st, bias)
+            logits, h, c = self._array_step(prev, h, c, z, st, bias, table, neg_u)
             prev = logits.argmax(axis=1)
             tokens[rows, t] = prev
             ended = prev == EOS
@@ -151,18 +156,26 @@ class AttentiveDecoder(Module):
                     a[live] for a in (rows, prev, h, c, z, st, bias))
         return [tokens[i, :length[i]].tolist() for i in range(b)]
 
-    def _array_step(self, prev, h, c, z, states, bias):
+    def _array_step(self, prev, h, c, z, states, bias, table=None, neg_u=None):
         """``decode_step`` on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
-        states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c'). Every op
-        and operand layout is the graph's, so the results are bitwise equal."""
+        states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c').
+        ``decode_greedy`` passes what it makes once per batch: -U and
+        ``table``, the LSTM input projection of the vocabulary, whose rows
+        the step gathers. Without the table, every op and operand layout is
+        the graph's, so the results are bitwise equal."""
         hd = self.hidden
-        x = self.embed.table.data[prev]
-        if self.condition_every_step:
-            x = np.concatenate([x, z], axis=1)
-        n = x.shape[0]
+        if table is None:
+            x = self.embed.table.data[prev]
+            if self.condition_every_step:
+                x = np.concatenate([x, z], axis=1)
+            xw = self.cell.project(x)
+        else:
+            xw = table[prev]
+        if neg_u is None:
+            neg_u = -self.cell.U.data
+        n = xw.shape[0]
         hc = np.empty((n, 2 * hd))
-        self.cell.step_into(x @ self.cell.W.data, h, c,
-                            np.empty((n, 4 * hd)), np.empty((n, hd)), hc)
+        self.cell.step_into(xw, neg_u, h, c, np.empty((n, 4 * hd)), np.empty((n, hd)), hc)
         h = hc[:, :hd]
         scores = (h @ self.attn_W.data)[:, None] @ states.transpose(0, 2, 1) + bias
         e = np.exp(scores - scores.max(axis=2, keepdims=True))

@@ -126,8 +126,9 @@ class LSTMCell(Module):
         """Every step over x (b, L, d_in) from state (h0, c0), as one graph
         node: returns (b, L, 2h) holding [h_t; c_t] for each step t.
 
-        The input projection of all b*L rows is one GEMM, leaving one h @ U
-        per step; the backward runs backpropagation through time in numpy.
+        The input projection of all b*L rows, bias included, is one GEMM,
+        leaving one h @ U per step; the backward runs backpropagation through
+        time in numpy.
         """
         hd = self.d_hidden
         if x.data.ndim != 3 or x.shape[2] != self.d_in or h0.shape != (x.shape[0], hd) \
@@ -139,13 +140,15 @@ class LSTMCell(Module):
         W, U, bias = self.W, self.U, self.b
         # time-major buffers, so each step reads and writes contiguous rows
         x_rows = x.data.transpose(1, 0, 2).reshape(L * b, d)
-        xw = (x_rows @ W.data).reshape(L, b, 4 * hd)
+        xw = self.project(x_rows).reshape(L, b, 4 * hd)
+        neg_u = -U.data
         acts = np.empty((L, b, 4 * hd))     # i, f, o, g after their nonlinearity
         tanh_c = np.empty((L, b, hd))
         hc = np.empty((L + 1, b, 2 * hd))   # [h; c] before step 0, then after each
         hc[0, :, :hd], hc[0, :, hd:] = h0.data, c0.data
         for t in range(L):
-            self.step_into(xw[t], hc[t, :, :hd], hc[t, :, hd:], acts[t], tanh_c[t], hc[t + 1])
+            self.step_into(xw[t], neg_u, hc[t, :, :hd], hc[t, :, hd:], acts[t], tanh_c[t],
+                           hc[t + 1])
         out = hc[1:].transpose(1, 0, 2)
 
         def bw(g):
@@ -174,24 +177,40 @@ class LSTMCell(Module):
 
         return ad._make(out, (x, h0, c0, W, U, bias), bw)
 
-    def step_into(self, xw_t: np.ndarray, h: np.ndarray, c: np.ndarray,
-                  acts: np.ndarray, tanh_c: np.ndarray, hc: np.ndarray) -> None:
+    def project(self, x_rows: np.ndarray) -> np.ndarray:
+        """The negated input projection that ``step_into`` takes:
+        -(x_rows @ W + b), (n, 4h)."""
+        return x_rows @ -self.W.data - self.b.data
+
+    def step_into(self, xw_t: np.ndarray, neg_u: np.ndarray, h: np.ndarray,
+                  c: np.ndarray, acts: np.ndarray, tanh_c: np.ndarray,
+                  hc: np.ndarray) -> None:
         """One step on arrays, the gate math of every LSTM path.
 
-        From the input projection xw_t = x_t @ W (n, 4h) and the state h, c
-        (n, h): gates = xw_t + h @ U + b. Writes the gates after their
-        nonlinearity (i, f, o, g) into acts (n, 4h), tanh(c') into tanh_c
-        (n, h) and [h'; c'] into hc (n, 2h); h and c are read before hc is
-        written.
+        From xw_t = ``project(x_t)`` (n, 4h), neg_u = -U and the state h, c
+        (n, h), acts (n, 4h) first holds the negated pre-activations
+        -(x_t @ W + b + h @ U). Writes the gates after their nonlinearity
+        (i, f, o, g) into acts, tanh(c') into tanh_c (n, h) and [h'; c']
+        into hc (n, 2h); h and c are read before hc is written. Every pass
+        runs in place in these buffers: tanh(g) = -tanh(acts) is put aside
+        in tanh_c, then the sigmoid 1 / (1 + exp(acts)) runs over the whole
+        contiguous acts, and tanh(g) goes back over its columns.
         """
-        hd = self.d_hidden
-        gates = xw_t + h @ self.U.data + self.b.data
-        acts[:, :3 * hd] = ad._sigmoid(gates[:, :3 * hd])
-        np.tanh(gates[:, 3 * hd:], out=acts[:, 3 * hd:])
-        c_new = acts[:, hd:2 * hd] * c + acts[:, :hd] * acts[:, 3 * hd:]
+        hd, hd3 = self.d_hidden, 3 * self.d_hidden
+        np.matmul(h, neg_u, out=acts)
+        acts += xw_t
+        np.tanh(acts[:, hd3:], out=tanh_c)
+        with np.errstate(over="ignore"):    # exp overflows to inf: the gate is 0
+            np.exp(acts, out=acts)
+        acts += 1.0
+        np.reciprocal(acts, out=acts)
+        np.negative(tanh_c, out=acts[:, hd3:])
+        c_new = hc[:, hd:]
+        np.multiply(acts[:, hd:2 * hd], c, out=c_new)
+        np.multiply(acts[:, :hd], acts[:, hd3:], out=tanh_c)
+        c_new += tanh_c
         np.tanh(c_new, out=tanh_c)
-        hc[:, hd:] = c_new
-        np.multiply(acts[:, 2 * hd:3 * hd], tanh_c, out=hc[:, :hd])
+        np.multiply(acts[:, 2 * hd:hd3], tanh_c, out=hc[:, :hd])
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         z = np.zeros((batch, self.d_hidden))

@@ -135,13 +135,18 @@ def classification_report(predictions, labels, n_classes: int
             float(np.mean(f1s)), accuracy)
 
 
-SILHOUETTE_BLOCK = 8  # distance-matrix rows computed at once
+SILHOUETTE_BLOCK = 256  # distance-matrix rows computed at once
 
 
 def silhouette(points: np.ndarray, group_ids) -> float:
     """Mean silhouette with Euclidean distance.
 
     Singleton groups contribute 0; so do points where max(a, b) == 0.
+    Identical points are merged first, so their distance is exactly 0. For
+    each block of rows, one Gram-matrix GEMM of the mean-centred points gives
+    the squared distances |x|^2 + |y|^2 - 2 x.y, and one more GEMM with the
+    count of each group's points at each distinct point sums them per group.
+    Memory stays O(block n).
     """
     points = np.asarray(points, dtype=np.float64)
     groups, gidx = np.unique(np.asarray(group_ids), return_inverse=True)
@@ -149,14 +154,28 @@ def silhouette(points: np.ndarray, group_ids) -> float:
         raise ValueError("silhouette needs at least two groups")
 
     n, k = points.shape[0], groups.size
-    sums = np.empty((n, k))          # summed distance from each point to each group
-    for i in range(0, n, SILHOUETTE_BLOCK):
-        # a block of rows of the distance matrix keeps memory at O(block n d)
-        diff = points[i:i + SILHOUETTE_BLOCK, None, :] - points[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        bins = (np.arange(dist.shape[0])[:, None] * k + gidx).ravel()
-        sums[i:i + dist.shape[0]] = np.bincount(
-            bins, weights=dist.ravel(), minlength=dist.shape[0] * k).reshape(-1, k)
+    x = points - points.mean(axis=0)
+    # the difference of squares cancels to rounding noise, not 0, between
+    # identical points, so each distinct row is kept once
+    _, first, inv = np.unique(x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel(),
+                              return_index=True, return_inverse=True)
+    x = x[first]
+    u = x.shape[0]
+    weight = np.bincount(inv * k + gidx, minlength=u * k).reshape(u, k).astype(np.float64)
+    sq = np.einsum("ij,ij->i", x, x)
+    sums = np.empty((u, k))          # summed distance from each distinct point to each group
+    for i in range(0, u, SILHOUETTE_BLOCK):
+        blk = x[i:i + SILHOUETTE_BLOCK]
+        m = blk.shape[0]
+        d2 = blk @ x.T
+        d2 *= -2.0
+        d2 += sq[i:i + m, None]
+        d2 += sq
+        np.maximum(d2, 0.0, out=d2)     # rounding can leave a tiny negative
+        d2[np.arange(m), np.arange(i, i + m)] = 0.0
+        np.sqrt(d2, out=d2)
+        np.matmul(d2, weight, out=sums[i:i + m])
+    sums = sums[inv]
     counts = np.bincount(gidx, minlength=k)
     own = counts[gidx]
     rows = np.arange(n)

@@ -53,6 +53,15 @@ def test_gen_data_translation_writes_generator_corpus(tmp_path):
                 == (tmp_path / f"{name}.tsv").read_bytes())
 
 
+@pytest.mark.parametrize("flag, value", [("--ambiguity-rate", "0.3"), ("--vocab-size", "30")])
+def test_gen_data_interaction_rejects_translation_flags(tmp_path, capsys, flag, value):
+    assert main(["gen-data", "--kind", "interaction", "--n", "10", flag, value,
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {flag} applies only to --kind translation\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_eval_ablate_pipeline(workdir):
     run = workdir / "run"
     rc = main(["train", "--task", "translation", "--fusion", "auto",

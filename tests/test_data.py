@@ -210,6 +210,12 @@ def _corrupt_field(path, lineno, column, edit):
     (3, lambda v: "abc," + v.split(",", 1)[1],
      "speech vector: could not convert string to float: 'abc'"),
     (0, lambda v: "x", "topic 'x' is not an integer"),
+    (0, lambda v: "\u0663", "topic '\u0663' is not an integer"),
+    (0, lambda v: "1_0", "topic '1_0' is not an integer"),
+    (0, lambda v: "9" * 4400,
+     "topic '" + "9" * 40 + r"'\.\.\. \(4400 characters\) is not an integer$"),
+    (1, lambda v: "\u00b2" * 100,
+     "class label '" + "\u00b2" * 40 + r"'\.\.\. \(100 characters\) is not made of ASCII digits$"),
     (1, lambda v: "\u00b2", "class label '\u00b2' is not made of ASCII digits"),
     (1, lambda v: "7" * 4301, "class label: Exceeds the limit"),
     (2, lambda v: v + " caf\udce9", "byte 0xe9 is not UTF-8"),

@@ -48,6 +48,21 @@ def quick_config(paths, **kw):
     return ExperimentConfig(**base)
 
 
+def test_make_batch_pads_like_a_per_row_loop(mt_paths):
+    samples = data_mod.read_dataset(mt_paths["train"])[:20]
+    cfg = ExperimentConfig(task="translation", modalities=("speech", "text"))
+    info = harness.DataInfo.from_samples(samples, cfg.task)
+    rows = harness.encode_samples(samples, cfg, info)
+    rows[3]["text"] = []                      # an empty sentence
+    batch = harness.make_batch(rows, cfg)
+    for key, got in (("text", batch.text_ids), ("target", batch.targets)):
+        want = np.full((len(rows), max(len(r[key]) for r in rows)), harness.PAD)
+        for i, r in enumerate(rows):
+            want[i, :len(r[key])] = r[key]
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert batch.lengths.tolist() == [len(r["text"]) for r in rows]
+
+
 # -- training-loop contracts -------------------------------------------------
 
 def test_same_seed_bit_identical_records(cls_paths):

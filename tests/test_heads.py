@@ -259,6 +259,25 @@ def test_array_step_bitwise_equals_decode_step(condition_every_step, width):
         prev = logits_arr.argmax(axis=1)
 
 
+@pytest.mark.parametrize("b", [1, 64])
+def test_array_step_table_rows_match_per_step_projection(b):
+    rng = np.random.default_rng(44)
+    dec = AttentiveDecoder(vocab_size=40, embed_dim=24, hidden=64, enc_hidden=65,
+                           d_fuse=32, rng=rng)
+    states = rng.normal(size=(b, 7, 65))
+    bias = heads._mask_bias(np.ones((b, 7)))
+    z = rng.normal(size=(b, 32))
+    table = dec.cell.project(dec.embed.table.data)
+    h, c = (t.data for t in dec.init_state(Tensor(z)))
+    h_tab, c_tab = h, c
+    prev = np.full(b, SOS)
+    for _ in range(5):
+        logits, h, c = dec._array_step(prev, h, c, z, states, bias)
+        logits_tab, h_tab, c_tab = dec._array_step(prev, h_tab, c_tab, z, states, bias, table)
+        np.testing.assert_allclose(logits_tab, logits, rtol=0, atol=1e-12)
+        prev = logits.argmax(axis=1)
+
+
 def test_greedy_rejects_row_without_unmasked_position(rng):
     dec = make_decoder(rng)
     states = Tensor(rng.normal(size=(2, 3, 6)))

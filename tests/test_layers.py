@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,52 @@ def test_lstm_sequence_matches_step_composite(rng):
         runs.append([out.data] + [t.grad for t in inputs])
     for fused, composite in zip(*runs):
         np.testing.assert_allclose(fused, composite, rtol=0, atol=1e-10)
+
+
+def _reference_step(cell, pre_x, h, c):
+    """One LSTM step with the numerically stable sigmoid of the autodiff
+    engine: pre_x = x @ W + b. Returns (acts, tanh(c'), [h'; c'])."""
+    hd = cell.d_hidden
+    gates = pre_x + h @ cell.U.data
+    i, f, o = (ad._sigmoid(gates[:, k * hd:(k + 1) * hd]) for k in range(3))
+    g = np.tanh(gates[:, 3 * hd:])
+    c_new = f * c + i * g
+    tanh_c = np.tanh(c_new)
+    hc = np.concatenate([o * tanh_c, c_new], axis=1)
+    return np.concatenate([i, f, o, g], axis=1), tanh_c, hc
+
+
+def _run_step(cell, x, h, c):
+    n, hd = x.shape[0], cell.d_hidden
+    acts, tanh_c, hc = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, 2 * hd))
+    cell.step_into(cell.project(x), -cell.U.data, h, c, acts, tanh_c, hc)
+    return acts, tanh_c, hc
+
+
+def test_lstm_step_matches_stable_sigmoid_reference(rng):
+    cell = layers.LSTMCell(1, 16, rng)
+    cell.W.data[...] = rng.uniform(-1.0, 1.0, size=cell.W.shape)
+    x = rng.uniform(-30.0, 30.0, size=(400, 1))   # pre-activations over [-30, 30]
+    h = rng.uniform(-1.0, 1.0, size=(400, 16))
+    c = rng.uniform(-1.0, 1.0, size=(400, 16))
+    pre_x = x @ cell.W.data + cell.b.data
+    for got, want in zip(_run_step(cell, x, h, c), _reference_step(cell, pre_x, h, c)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_lstm_step_saturates_exactly_without_warning(rng):
+    cell = layers.LSTMCell(1, 3, rng)
+    cell.U.data[...] = 0.0
+    cell.b.data[...] = 0.0
+    cell.W.data[...] = 1.0
+    x = np.array([[800.0], [-800.0]])
+    c = np.array([[0.5] * 3, [0.5] * 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acts, _, hc = _run_step(cell, x, np.zeros((2, 3)), c)
+    assert acts[0].tolist() == [1.0] * 12
+    assert acts[1].tolist() == [0.0] * 9 + [-1.0] * 3
+    np.testing.assert_array_equal(hc[:, 3:], [[1.5] * 3, [0.0] * 3])
 
 
 def test_cross_entropy_uniform():

@@ -261,6 +261,25 @@ def test_silhouette_matches_per_row_reference():
         per_row_silhouette(pts, labels), abs=1e-12)
 
 
+def test_silhouette_near_duplicates_far_from_origin():
+    # |x|^2 + |y|^2 - 2 x.y of points near 1e3 cancels unless they are centred
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(40, 6))
+    pts = np.vstack([base, base + rng.normal(scale=1e-6, size=base.shape)]) + 1e3
+    groups = rng.integers(0, 3, size=80)
+    assert silhouette(pts, groups) == pytest.approx(
+        per_row_silhouette(pts, groups), abs=1e-9)
+
+
+def test_silhouette_duplicates_are_at_distance_zero():
+    # |x|^2 + |y|^2 - 2 x.y between two copies of a point is rounding noise
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        a, b = rng.normal(scale=100.0, size=(2, 32))
+        pts = np.vstack([a, a, a, b, b, b])
+        assert silhouette(pts, [0, 0, 0, 1, 1, 1]) == 1.0
+
+
 def test_silhouette_memory_is_linear():
     # a full n x n x d difference array at (600, 32) would take 92 MB
     rng = np.random.default_rng(4)
