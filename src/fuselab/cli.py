@@ -134,6 +134,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     worst, failed = run_gradchecks(args.repeats, args.seed)
     if failed:
         for line in failed:

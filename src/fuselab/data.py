@@ -95,6 +95,8 @@ def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
     The target sequence is the mapped source with its first two tokens
     swapped.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if vocab_size < 20:
         raise ValueError("vocab_size must be >= 20")
     if not 0.0 <= ambiguity_rate <= 1.0:

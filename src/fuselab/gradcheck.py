@@ -138,9 +138,8 @@ def gradcheck_cases():
         cell = LSTMCell(2, 2, rng)
         x, h, c = t(rng, 3, 2), t(rng, 3, 2), t(rng, 3, 2)
 
-        def fn(ts):
-            h2, c2 = cell(ts[0], ts[1], ts[2])
-            return ad.sum(ad.square(h2)) + ad.sum(ad.square(c2))
+        def fn(ts):     # one step: a sequence of length one
+            return ad.sum(ad.square(cell.sequence(ad.reshape(ts[0], (3, 1, 2)), ts[1], ts[2])))
 
         return (fn, [x, h, c, cell.W, cell.U, cell.b])
 

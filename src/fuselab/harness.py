@@ -1,8 +1,11 @@
 """Training loop, evaluation, ablation sweeps, and run bookkeeping.
 
-The total objective per batch is lambda1 * J_fusion + lambda2 * J_task.
-With GAN fusion each batch first takes one discriminator Adam step per
-module at lr / 2, then one Adam step over every non-discriminator parameter.
+A run's state is one TrainState: train builds it, runs train_step per batch
+and end_epoch per epoch (validation, best tensors, early stopping), and
+returns to_checkpoint's checkpoint. The objective per batch is
+lambda1 * J_fusion + lambda2 * J_task. With GAN fusion each batch first
+takes one discriminator Adam step at lr / 2, then one Adam step over every
+non-discriminator parameter.
 """
 
 from __future__ import annotations
@@ -309,13 +312,109 @@ def _check_finite(name: str, value: float) -> None:
         raise TrainingDiverged(f"non-finite loss term {name}: {value}")
 
 
-def _clear_grads(tensors: list[Tensor]) -> None:
-    for t in tensors:
+@dataclass
+class TrainState:
+    """Everything a training run carries from one step to the next."""
+
+    model: FusionModel
+    info: DataInfo
+    rngs: dict[str, np.random.Generator]    # shuffle, noise, dropout: the checkpoint's order
+    opt: AdamState
+    disc_opt: AdamState
+    main_params: dict[str, Tensor]
+    disc_params: dict[str, Tensor]
+    # listed once, so a step clears grads without walking the module tree
+    all_params: list[Tensor]
+    record: RunRecord = field(default_factory=RunRecord)
+    step: int = 0
+    epoch: int = 0
+    best_metric: float = -np.inf
+    best_epoch: int = -1
+    best_tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    stale: int = 0
+
+    @classmethod
+    def start(cls, cfg: ExperimentConfig, info: DataInfo,
+              train_raw: list[RawSample]) -> "TrainState":
+        """A fresh run from cfg.seed, vector encoders normalised on train_raw."""
+        rngs = dict(zip(("init", "shuffle", "noise", "dropout"),
+                        map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(4))))
+        model = FusionModel(cfg, info, rngs.pop("init"))
+        for m in ("speech", "video"):
+            if m in cfg.modalities:
+                getattr(model, f"{m}_enc").fit_normalization(
+                    np.stack([getattr(s, m) for s in train_raw]))
+        main, disc = model.non_discriminator_parameters(), model.discriminator_parameters()
+        return cls(model=model, info=info, rngs=rngs, opt=AdamState(lr=cfg.lr),
+                   disc_opt=AdamState(lr=cfg.lr / 2.0), main_params=main,
+                   disc_params=disc, all_params=[*main.values(), *disc.values()])
+
+
+def train_step(state: TrainState, batch: Batch) -> None:
+    """One batch. Grads are cleared once, up front: the discriminator loss
+    detaches its inputs and the generator loss freezes D, so neither backward
+    reaches the other step's parameters."""
+    model, cfg = state.model, state.model.cfg
+    for t in state.all_params:
         t.grad = None
+    bundle = model.encode(batch)
+    if cfg.fusion == "gan":
+        forwards = model.fusion.gan_forwards(bundle, state.rngs["noise"])
+        terms = [model.fusion.modules[f.name].discriminator_loss(f.z_tr, f.z_g) for f in forwards]
+        d_loss = sum(terms[1:], terms[0])
+        _check_finite("discriminator", d_loss.item())
+        d_loss.backward()
+        adam_step(state.disc_params, state.disc_opt)
+        state.record.disc_accuracy.append(float(np.mean(
+            [model.fusion.modules[f.name].discriminator_accuracy(f.z_tr, f.z_g)
+             for f in forwards])))
+        fused = model.fusion.compose(forwards, saturating=cfg.saturating_gan)
+    else:
+        fused = model.fuse(bundle, state.rngs["noise"])
+    j_task = model.task_loss(fused, bundle, batch, state.rngs["dropout"])
+    j_total = Tensor(cfg.lambda1) * fused.j_fusion + Tensor(cfg.lambda2) * j_task
+    _check_finite("j_fusion", fused.j_fusion.item())
+    _check_finite("j_task", j_task.item())
+    j_total.backward()
+    adam_step(state.main_params, state.opt)
+    state.record.log_step(state.step, fused.j_fusion.item(), j_task.item(), j_total.item())
+    state.step += 1
 
 
-def _task_metric(cfg: ExperimentConfig, metrics: dict[str, float]) -> float:
-    return metrics["accuracy"] if cfg.task == "classification" else metrics["bleu4"]
+def end_epoch(state: TrainState, val_raw: list[RawSample]) -> bool:
+    """Log the epoch's mean train losses and val metrics, keep the best
+    epoch's tensors and the summary; True when early stopping ends the run."""
+    model, record, epoch = state.model, state.record, state.epoch
+    # every epoch runs the same number of steps
+    epoch_steps = record.steps[state.step - state.step // (epoch + 1):]
+    for name, values in zip(("j_fusion", "j_task", "j_total"), list(zip(*epoch_steps))[1:]):
+        record.log(epoch, "train", name, float(np.mean(values)))
+
+    val_metrics = evaluate_model(model, state.info, val_raw, word_drop_p=0.0, drop_seed=0)
+    for name, value in sorted(val_metrics.items()):
+        record.log(epoch, "val", name, value)
+
+    metric = val_metrics["accuracy" if model.cfg.task == "classification" else "bleu4"]
+    improved = metric > state.best_metric
+    if improved:
+        state.best_metric, state.best_epoch = metric, epoch
+        state.best_tensors = {n: t.data.copy() for n, t in model.parameters().items()}
+        state.best_tensors.update({n: b.copy() for n, b in model.buffers().items()})
+    state.stale = 0 if improved else state.stale + 1
+    record.summary = {"best_epoch": state.best_epoch, "best_val_metric": state.best_metric,
+                      "epochs_run": epoch + 1}
+    return not improved and state.stale >= model.cfg.patience
+
+
+def to_checkpoint(state: TrainState) -> ckpt_io.Checkpoint:
+    """The best epoch's tensors, the optimizers and RNG streams as they
+    stand, and the config with its [data] block."""
+    return ckpt_io.Checkpoint(
+        tensors=dict(sorted(state.best_tensors.items())),
+        optimizer=_optimizer_entries(state.opt, state.disc_opt),
+        rng={name: ckpt_io.generator_state_to_array(g) for name, g in state.rngs.items()},
+        config_text=config_to_text(state.model.cfg) + "[data]\n" + state.info.to_text(),
+    )
 
 
 def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
@@ -323,118 +422,18 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
     train_raw = read_dataset_for(cfg.train_path, cfg)
     info = DataInfo.from_samples(train_raw, cfg.task)
     val_raw = read_dataset_for(cfg.val_path, cfg, info)
-
-    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
-    init_rng = np.random.default_rng(seeds[0])
-    shuffle_rng = np.random.default_rng(seeds[1])
-    noise_rng = np.random.default_rng(seeds[2])
-    dropout_rng = np.random.default_rng(seeds[3])
-
-    model = FusionModel(cfg, info, init_rng)
-    if "speech" in cfg.modalities:
-        model.speech_enc.fit_normalization(
-            np.stack([s.speech for s in train_raw]))
-    if "video" in cfg.modalities:
-        model.video_enc.fit_normalization(
-            np.stack([s.video for s in train_raw]))
-
+    state = TrainState.start(cfg, info, train_raw)
     rows = encode_samples(train_raw, cfg, info)
-    opt = AdamState(lr=cfg.lr)
-    disc_opt = AdamState(lr=cfg.lr / 2.0)
-    main_params = model.non_discriminator_parameters()
-    disc_params = model.discriminator_parameters()
-    # listed once, so a step clears grads without walking the module tree
-    all_params = [*main_params.values(), *disc_params.values()]
-
-    record = RunRecord()
-    best_metric = -np.inf
-    best_tensors: dict[str, np.ndarray] = {}
-    best_epoch = -1
-    stale = 0
-    step = 0
-
-    for epoch in range(cfg.epochs):
-        model.train()
-        order = shuffle_rng.permutation(len(rows))
-        epoch_fusion, epoch_task, epoch_total = [], [], []
+    for state.epoch in range(cfg.epochs):
+        state.model.train()
+        order = state.rngs["shuffle"].permutation(len(rows))
         for start in range(0, len(rows), cfg.batch_size):
-            batch = make_batch([rows[i] for i in order[start:start + cfg.batch_size]],
-                               cfg)
-            bundle = model.encode(batch)
-
-            if cfg.fusion == "gan":
-                forwards = model.fusion.gan_forwards(bundle, noise_rng)
-                _clear_grads(all_params)
-                d_loss = None
-                for fwd in forwards:
-                    term = model.fusion.modules[fwd.name].discriminator_loss(
-                        fwd.z_tr, fwd.z_g)
-                    d_loss = term if d_loss is None else d_loss + term
-                _check_finite("discriminator", d_loss.item())
-                d_loss.backward()
-                adam_step(disc_params, disc_opt)
-                _clear_grads(all_params)
-                record.disc_accuracy.append(float(np.mean(
-                    [model.fusion.modules[f.name].discriminator_accuracy(
-                        f.z_tr, f.z_g) for f in forwards])))
-                fused = model.fusion.compose(forwards,
-                                             saturating=cfg.saturating_gan)
-            else:
-                _clear_grads(all_params)
-                fused = model.fuse(bundle, noise_rng)
-
-            j_task = model.task_loss(fused, bundle, batch, dropout_rng)
-            j_total = Tensor(cfg.lambda1) * fused.j_fusion \
-                + Tensor(cfg.lambda2) * j_task
-            _check_finite("j_fusion", fused.j_fusion.item())
-            _check_finite("j_task", j_task.item())
-            j_total.backward()
-            adam_step(main_params, opt)
-            record.log_step(step, fused.j_fusion.item(), j_task.item(),
-                            j_total.item())
-            epoch_fusion.append(fused.j_fusion.item())
-            epoch_task.append(j_task.item())
-            epoch_total.append(j_total.item())
-            step += 1
-
-        record.log(epoch, "train", "j_fusion", float(np.mean(epoch_fusion)))
-        record.log(epoch, "train", "j_task", float(np.mean(epoch_task)))
-        record.log(epoch, "train", "j_total", float(np.mean(epoch_total)))
-
-        val_metrics = evaluate_model(model, info, val_raw, word_drop_p=0.0,
-                                     drop_seed=0)
-        for name, value in sorted(val_metrics.items()):
-            record.log(epoch, "val", name, value)
-
-        metric = _task_metric(cfg, val_metrics)
-        if metric > best_metric:
-            best_metric = metric
-            best_epoch = epoch
-            best_tensors = {n: t.data.copy() for n, t in model.parameters().items()}
-            best_tensors.update({n: b.copy() for n, b in model.buffers().items()})
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-
-    for name, t in model.parameters().items():
-        t.data[...] = best_tensors[name]
-    for name in model.buffers():
-        model.set_buffer(name, best_tensors[name])
-
-    record.summary = {"best_epoch": best_epoch, "best_val_metric": best_metric,
-                      "epochs_run": epoch + 1}
-
-    ckpt = ckpt_io.Checkpoint(
-        tensors=dict(sorted(best_tensors.items())),
-        optimizer=_optimizer_entries(opt, disc_opt),
-        rng={"shuffle": ckpt_io.generator_state_to_array(shuffle_rng),
-             "noise": ckpt_io.generator_state_to_array(noise_rng),
-             "dropout": ckpt_io.generator_state_to_array(dropout_rng)},
-        config_text=config_to_text(cfg) + "[data]\n" + info.to_text(),
-    )
-    return ckpt, record
+            train_step(state, make_batch(
+                [rows[i] for i in order[start:start + cfg.batch_size]], cfg))
+        if end_epoch(state, val_raw):
+            break
+    _load_tensors(state.model, state.best_tensors)
+    return to_checkpoint(state), state.record
 
 
 def _optimizer_entries(opt: AdamState, disc_opt: AdamState) -> dict[str, np.ndarray]:
@@ -463,14 +462,20 @@ def model_from_checkpoint(ckpt: ckpt_io.Checkpoint) -> tuple[FusionModel, Experi
         extra = sorted(got - expected)[:3]
         raise ckpt_io.CheckpointError(
             f"tensor names do not match the model: missing {missing}, extra {extra}")
-    for name, t in model.parameters().items():
-        if t.data.shape != ckpt.tensors[name].shape:
-            raise ckpt_io.CheckpointError(f"shape mismatch for {name}")
-        t.data[...] = ckpt.tensors[name]
-    for name in model.buffers():
-        model.set_buffer(name, ckpt.tensors[name])
+    _load_tensors(model, ckpt.tensors)
     model.eval()
     return model, cfg, info
+
+
+def _load_tensors(model: FusionModel, tensors: dict[str, np.ndarray]) -> None:
+    """Copy tensors, keyed by parameter and buffer name, into model; a
+    parameter of another shape raises CheckpointError."""
+    for name, t in model.parameters().items():
+        if t.data.shape != tensors[name].shape:
+            raise ckpt_io.CheckpointError(f"shape mismatch for {name}")
+        t.data[...] = tensors[name]
+    for name in model.buffers():
+        model.set_buffer(name, tensors[name])
 
 
 def _check_data_info(cfg: ExperimentConfig, info: DataInfo,

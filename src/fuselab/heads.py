@@ -95,11 +95,10 @@ class AttentiveDecoder(Module):
                     ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         """One step: returns (logits (b,V), h', c', attention weights (b,L))."""
         prev_tokens = np.asarray(prev_tokens)
-        b = prev_tokens.shape[0]
-        x = self._inputs(prev_tokens[:, None], z_fuse)
-        h_new, c_new = self.cell(ad.reshape(x, (b, x.shape[2])), h, c)
-        logits, weights = self._readout(ad.reshape(h_new, (b, 1, self.hidden)),
-                                        states, mask)
+        b, hd = prev_tokens.shape[0], self.hidden
+        hc = self.cell.sequence(self._inputs(prev_tokens[:, None], z_fuse), h, c)
+        h_new, c_new = (ad.reshape(ad.narrow(hc, 2, k * hd, hd), (b, hd)) for k in (0, 1))
+        logits, weights = self._readout(ad.reshape(h_new, (b, 1, hd)), states, mask)
         return logits, h_new, c_new, ad.reshape(weights, (b, states.shape[1]))
 
     def teacher_forced_loss(self, z_fuse: Tensor, states: Tensor,

@@ -116,12 +116,6 @@ class LSTMCell(Module):
         b[d_hidden:2 * d_hidden] = 1.0
         self.b = self.add_param("b", b)
 
-    def __call__(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """One step from x (b, d_in): returns (h', c')."""
-        b, hd = x.shape[0], self.d_hidden
-        hc = ad.reshape(self.sequence(ad.reshape(x, (b, 1, x.shape[1])), h, c), (b, 2 * hd))
-        return ad.narrow(hc, 1, 0, hd), ad.narrow(hc, 1, hd, hd)
-
     def sequence(self, x: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
         """Every step over x (b, L, d_in) from state (h0, c0), as one graph
         node: returns (b, L, 2h) holding [h_t; c_t] for each step t.

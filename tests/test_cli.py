@@ -62,6 +62,13 @@ def test_gen_data_interaction_rejects_translation_flags(tmp_path, capsys, flag, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["interaction", "translation"])
+def test_gen_data_rejects_n_below_one(tmp_path, capsys, kind):
+    assert main(["gen-data", "--kind", kind, "--n", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: n must be >= 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_eval_ablate_pipeline(workdir):
     run = workdir / "run"
     rc = main(["train", "--task", "translation", "--fusion", "auto",
@@ -386,6 +393,14 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--repeats", "1"]) == 0
     out = capsys.readouterr().out
     assert f"gradcheck passed: {len(gradcheck_cases())} cases" in out
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_gradcheck_rejects_repeats_below_one(capsys, repeats):
+    assert main(["gradcheck", "--repeats", repeats]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --repeats must be >= 1, got {repeats}\n"
+    assert "passed" not in captured.out
 
 
 def test_fuselab_out_env_default(workdir, tmp_path, monkeypatch):

@@ -112,6 +112,11 @@ def test_translation_seeded_regeneration_identical():
         np.testing.assert_array_equal(x.speech, y.speech)
 
 
+def test_translation_requires_positive_n():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        gen_toy_translation(0, seed=0)
+
+
 def test_translation_vocab_floor():
     with pytest.raises(ValueError):
         gen_toy_translation(10, seed=0, vocab_size=19)

@@ -328,7 +328,20 @@ def test_run_record_csv_and_summary(tmp_path):
 
 
 def test_early_stopping_restores_best(cls_paths):
-    cfg = quick_config(cls_paths, epochs=4, patience=1)
+    cfg = quick_config(cls_paths, epochs=8, patience=1, lr=0.01)
     ckpt, rec = harness.train(cfg)
-    assert rec.summary["epochs_run"] <= 4
-    assert rec.summary["best_epoch"] < rec.summary["epochs_run"]
+    epochs_run, best = rec.summary["epochs_run"], rec.summary["best_val_metric"]
+    assert rec.summary["best_epoch"] == epochs_run - 2 < epochs_run < cfg.epochs
+    val_acc = {e: v for e, split, m, v in rec.rows if (split, m) == ("val", "accuracy")}
+    assert val_acc[rec.summary["best_epoch"]] == best != val_acc[epochs_run - 1]
+    model, _, info = harness.model_from_checkpoint(ckpt)
+    val = data_mod.read_dataset(cls_paths["val"])
+    assert harness.evaluate_model(model, info, val)["accuracy"] == best
+
+    # each epoch's train rows are the means of that epoch's steps
+    per_epoch = len(rec.steps) // epochs_run
+    for e in range(epochs_run):
+        steps = np.array(rec.steps[e * per_epoch:(e + 1) * per_epoch])
+        rows = {m: v for epoch, split, m, v in rec.rows if (epoch, split) == (e, "train")}
+        assert [rows[m] for m in ("j_fusion", "j_task", "j_total")] == \
+            [float(np.mean(col)) for col in steps[:, 1:].T]

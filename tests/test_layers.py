@@ -44,9 +44,8 @@ def test_lstm_zero_weights_zero_state(rng):
     for p in cell.parameters().values():
         p.data[...] = 0.0
     h, c = cell.zero_state(2)
-    h2, c2 = cell(Tensor(np.zeros((2, 3))), h, c)
-    np.testing.assert_array_equal(h2.data, 0.0)
-    np.testing.assert_array_equal(c2.data, 0.0)
+    hc = cell.sequence(Tensor(np.zeros((2, 1, 3))), h, c)
+    np.testing.assert_array_equal(hc.data, 0.0)
 
 
 def test_lstm_saturated_forget_keeps_cell(rng):
@@ -57,8 +56,8 @@ def test_lstm_saturated_forget_keeps_cell(rng):
     cell.b.data[3:6] = 100.0
     cell.b.data[0:3] = -100.0
     c0 = Tensor(rng.uniform(-1, 1, size=(2, 3)))
-    _, c1 = cell(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))), c0)
-    np.testing.assert_allclose(c1.data, c0.data, atol=1e-12)
+    hc = cell.sequence(Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros((2, 3))), c0)
+    np.testing.assert_allclose(hc.data[:, 0, 3:], c0.data, atol=1e-12)
 
 
 def test_lstm_unrolled_gradcheck(rng):
@@ -67,8 +66,9 @@ def test_lstm_unrolled_gradcheck(rng):
 
     def fn(ts):
         h, c = cell.zero_state(2)
-        for x in ts[:3]:
-            h, c = cell(x, h, c)
+        for x in ts[:3]:    # each step a sequence of length one, fed the last state
+            hc = ad.reshape(cell.sequence(ad.reshape(x, (2, 1, 2)), h, c), (2, 6))
+            h, c = ad.narrow(hc, 1, 0, 3), ad.narrow(hc, 1, 3, 3)
         return ad.sum(h) + ad.sum(c)
 
     check_gradients(fn, xs + [cell.W, cell.U, cell.b])
