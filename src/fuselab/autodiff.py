@@ -7,7 +7,7 @@ every reachable tensor that has ``requires_grad`` set. Leaves (parameters and
 inputs) are never visited, only accumulated into. Gradients accumulate across
 backward calls; callers zero them between optimizer steps.
 
-Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu, square;
+Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu;
 matmul, bmm and affine (``x @ W + b`` as one node); concat, narrow, reshape,
 transpose; sum, mean, softmax.
 
@@ -197,15 +197,6 @@ def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
 
     def bw(g):
         x._accumulate(g * slope)
-
-    return _make(out_data, (x,), bw)
-
-
-def square(x: Tensor) -> Tensor:
-    out_data = x.data * x.data
-
-    def bw(g):
-        x._accumulate(2.0 * g * x.data)
 
     return _make(out_data, (x,), bw)
 

@@ -79,8 +79,9 @@ class ExperimentConfig:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.classification_loss not in ("cross_entropy", "hinge"):
             raise ConfigError(f"unknown classification_loss {self.classification_loss!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        for key in ("epochs", "batch_size", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 def _format_value(v) -> str:

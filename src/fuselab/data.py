@@ -153,9 +153,8 @@ def reference_translation(src: list[str], topic: int, homograph_count: int) -> l
 
 def apply_word_drop(token_ids: list[int], p: float,
                     rng: np.random.Generator) -> list[int]:
-    """Replace each non-reserved token id by UNK independently with prob p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("word-drop probability must lie in [0, 1]")
+    """Replace each non-reserved token id by UNK independently with prob p,
+    which lies in [0, 1] (``harness.evaluate_model`` checks it)."""
     return [UNK if t >= 4 and rng.random() < p else t for t in token_ids]
 
 

@@ -83,7 +83,7 @@ class GanFusionModule(Module):
 
     def __init__(self, target: str, d_target: int, complements: list[tuple[str, int]],
                  d_noise: int, d_r: int, d_disc_hidden: int, noise_sigma: float,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, saturating: bool = False):
         super().__init__()
         if not complements:
             raise FusionUnavailableError(
@@ -91,6 +91,7 @@ class GanFusionModule(Module):
         self.target = target
         self.d_noise = d_noise
         self.noise_sigma = noise_sigma
+        self.saturating = saturating
         self.complement_names = [n for n, _ in complements]
         self.generator = self.add_child(
             "generator", Generator(d_target + d_noise, d_r, rng))
@@ -131,10 +132,11 @@ class GanFusionModule(Module):
         d_fake = self.discriminator(z_g.detach())
         return -(ad.mean(clamped_log(d_real)) + ad.mean(clamped_log(Tensor(1.0) - d_fake)))
 
-    def generator_loss(self, z_g: Tensor, saturating: bool = False) -> Tensor:
-        """Non-saturating -mean log D(z_g) by default; literal minimax by flag."""
+    def generator_loss(self, z_g: Tensor) -> Tensor:
+        """Non-saturating -mean log D(z_g) by default; the literal minimax
+        mean log(1 - D(z_g)) when the module was built saturating."""
         d_fake = self.discriminator(z_g, frozen=True)
-        if saturating:
+        if self.saturating:
             return ad.mean(clamped_log(Tensor(1.0) - d_fake))
         return -ad.mean(clamped_log(d_fake))
 
@@ -150,7 +152,8 @@ class GanFusionStack(Module):
     """One GanFusionModule per present modality plus the final fusion layer."""
 
     def __init__(self, dims: dict[str, int], d_fuse: int, d_noise: int,
-                 d_disc_hidden: int, noise_sigma: float, rng: np.random.Generator):
+                 d_disc_hidden: int, noise_sigma: float, rng: np.random.Generator,
+                 saturating: bool = False):
         super().__init__()
         present = [m for m in MODALITIES if m in dims]
         if len(present) < 2:
@@ -162,7 +165,7 @@ class GanFusionStack(Module):
             comp = [(n, dims[n]) for n in present if n != m]
             self.modules[m] = self.add_child(
                 m, GanFusionModule(m, dims[m], comp, d_noise, d_fuse,
-                                   d_disc_hidden, noise_sigma, rng))
+                                   d_disc_hidden, noise_sigma, rng, saturating))
         self.fc = self.add_child(
             "fc", Affine(d_fuse * len(present), d_fuse, rng))
 
@@ -186,22 +189,13 @@ class GanFusionStack(Module):
         """The fused vector: one affine map of the concatenated z_g."""
         return self.fc(ad.concat(list(z_g.values()), axis=1))
 
-    def fusion_loss(self, forwards: list[ModuleForward],
-                    saturating: bool = False) -> Tensor:
-        """Sum over modules of the generator loss and the inner Auto-Fusion
+    def compose(self, forwards: list[ModuleForward]) -> FusionOutput:
+        """The fused vector of the forwards' z_g, and J_fusion: the sum over
+        modules of the generator loss and the inner Auto-Fusion
         reconstruction loss."""
-        j = None
-        for f in forwards:
-            term = self.modules[f.name].generator_loss(f.z_g, saturating=saturating) \
-                + f.inner_loss
-            j = term if j is None else j + term
-        return j
+        z_fuse = self.project({f.name: f.z_g for f in forwards})
+        terms = [self.modules[f.name].generator_loss(f.z_g) + f.inner_loss for f in forwards]
+        return FusionOutput(z_fuse=z_fuse, j_fusion=sum(terms[1:], terms[0]))
 
-    def compose(self, forwards: list[ModuleForward],
-                saturating: bool = False) -> FusionOutput:
-        return FusionOutput(z_fuse=self.project({f.name: f.z_g for f in forwards}),
-                            j_fusion=self.fusion_loss(forwards, saturating))
-
-    def fuse(self, bundle: LatentBundle, rng: np.random.Generator | None,
-             saturating: bool = False) -> FusionOutput:
-        return self.compose(self.gan_forwards(bundle, rng), saturating=saturating)
+    def fuse(self, bundle: LatentBundle, rng: np.random.Generator | None) -> FusionOutput:
+        return self.compose(self.gan_forwards(bundle, rng))

@@ -194,13 +194,13 @@ class FusionModel(layers.Module):
         else:
             self.d_fuse = D_FUSE
             self.fusion = self.add_child(
-                "fusion", GanFusionStack(dims, D_FUSE, cfg.d_noise,
-                                         DISC_HIDDEN, cfg.noise_sigma, rng))
+                "fusion", GanFusionStack(dims, D_FUSE, cfg.d_noise, DISC_HIDDEN,
+                                         cfg.noise_sigma, rng, cfg.saturating_gan))
 
         if cfg.task == "classification":
             self.head = self.add_child(
-                "head", ClassifierHead(self.d_fuse, HEAD_HIDDEN,
-                                       info.n_classes, rng))
+                "head", ClassifierHead(self.d_fuse, HEAD_HIDDEN, info.n_classes,
+                                       rng, cfg.classification_loss))
         else:
             self.decoder = self.add_child(
                 "decoder", AttentiveDecoder(
@@ -224,8 +224,7 @@ class FusionModel(layers.Module):
     def fuse(self, bundle: LatentBundle,
              noise_rng: np.random.Generator | None) -> FusionOutput:
         if self.cfg.fusion == "gan":
-            return self.fusion.fuse(bundle, noise_rng,
-                                    saturating=self.cfg.saturating_gan)
+            return self.fusion.fuse(bundle, noise_rng)
         ordered = [bundle.latents[m] for m in MODALITIES if m in bundle.latents]
         if self.cfg.fusion == "auto":
             return self.fusion(ordered)
@@ -234,18 +233,18 @@ class FusionModel(layers.Module):
 
     def task_loss(self, fused: FusionOutput, bundle: LatentBundle, batch: Batch,
                   drop_rng: np.random.Generator | None) -> Tensor:
+        """J_task of the fused vector; dropout applies to it only when
+        drop_rng is given, as in training, and dropout_p > 0."""
         z = fused.z_fuse
         if self.cfg.dropout_p > 0.0 and drop_rng is not None:
-            z = dropout(z, self.cfg.dropout_p, self.training, drop_rng)
+            z = dropout(z, self.cfg.dropout_p, drop_rng)
         if self.cfg.task == "classification":
-            logits = self.head(z)
-            return self.head.loss(logits, batch.labels,
-                                  kind=self.cfg.classification_loss)
+            return self.head.loss(self.head(z), batch.labels)
         return self.decoder.teacher_forced_loss(
             z, bundle.text_states, bundle.text_mask, batch.targets)
 
     def predict(self, batch: Batch) -> list:
-        """Deterministic inference: GAN noise off, eval mode."""
+        """Deterministic inference: no GAN noise, no dropout."""
         return self._predict(batch)[0]
 
     def _predict(self, batch: Batch) -> tuple[list, dict[str, Tensor]]:
@@ -368,7 +367,7 @@ def train_step(state: TrainState, batch: Batch) -> None:
         state.record.disc_accuracy.append(float(np.mean(
             [model.fusion.modules[f.name].discriminator_accuracy(f.z_tr, f.z_g)
              for f in forwards])))
-        fused = model.fusion.compose(forwards, saturating=cfg.saturating_gan)
+        fused = model.fusion.compose(forwards)
     else:
         fused = model.fuse(bundle, state.rngs["noise"])
     j_task = model.task_loss(fused, bundle, batch, state.rngs["dropout"])
@@ -425,14 +424,12 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
     state = TrainState.start(cfg, info, train_raw)
     rows = encode_samples(train_raw, cfg, info)
     for state.epoch in range(cfg.epochs):
-        state.model.train()
         order = state.rngs["shuffle"].permutation(len(rows))
         for start in range(0, len(rows), cfg.batch_size):
             train_step(state, make_batch(
                 [rows[i] for i in order[start:start + cfg.batch_size]], cfg))
         if end_epoch(state, val_raw):
             break
-    _load_tensors(state.model, state.best_tensors)
     return to_checkpoint(state), state.record
 
 
@@ -455,27 +452,18 @@ def model_from_checkpoint(ckpt: ckpt_io.Checkpoint) -> tuple[FusionModel, Experi
     info = DataInfo.from_text(data_text)
     _check_data_info(cfg, info, ckpt.tensors)
     model = FusionModel(cfg, info, np.random.default_rng(0))
-    expected = set(model.parameters()) | set(model.buffers())
-    got = set(ckpt.tensors)
-    if expected != got:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
+    # every parameter and buffer array, filled in place from the checkpoint
+    arrays = {n: t.data for n, t in model.parameters().items()} | model.buffers()
+    if arrays.keys() != ckpt.tensors.keys():
+        missing = sorted(arrays.keys() - ckpt.tensors.keys())[:3]
+        extra = sorted(ckpt.tensors.keys() - arrays.keys())[:3]
         raise ckpt_io.CheckpointError(
             f"tensor names do not match the model: missing {missing}, extra {extra}")
-    _load_tensors(model, ckpt.tensors)
-    model.eval()
-    return model, cfg, info
-
-
-def _load_tensors(model: FusionModel, tensors: dict[str, np.ndarray]) -> None:
-    """Copy tensors, keyed by parameter and buffer name, into model; a
-    parameter of another shape raises CheckpointError."""
-    for name, t in model.parameters().items():
-        if t.data.shape != tensors[name].shape:
+    for name, a in arrays.items():
+        if a.shape != ckpt.tensors[name].shape:
             raise ckpt_io.CheckpointError(f"shape mismatch for {name}")
-        t.data[...] = tensors[name]
-    for name in model.buffers():
-        model.set_buffer(name, tensors[name])
+        a[...] = ckpt.tensors[name]
+    return model, cfg, info
 
 
 def _check_data_info(cfg: ExperimentConfig, info: DataInfo,
@@ -499,13 +487,17 @@ def _check_data_info(cfg: ExperimentConfig, info: DataInfo,
             raise ckpt_io.CheckpointError(f"checkpoint [data] block: no {key} line")
 
 
+EVAL_BATCH = 64         # rows per forward pass in evaluate_model
+
+
 def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
-                   word_drop_p: float = 0.0, drop_seed: int = 0,
-                   eval_batch: int = 64) -> dict[str, float]:
-    """Metric map for one dataset; GAN noise is off at evaluation."""
+                   word_drop_p: float = 0.0, drop_seed: int = 0) -> dict[str, float]:
+    """Metric map for one dataset; GAN noise and dropout are off at
+    evaluation. A word-drop probability outside [0, 1] raises ValueError,
+    whether or not the model reads text."""
+    if not 0.0 <= word_drop_p <= 1.0:
+        raise ValueError(f"word-drop probability must lie in [0, 1], got {word_drop_p}")
     cfg = model.cfg
-    was_training = model.training
-    model.eval()
     rows = encode_samples(samples, cfg, info)
     if word_drop_p > 0.0 and "text" in cfg.modalities:
         drop_rng = np.random.default_rng([cfg.seed, 7, drop_seed])
@@ -514,8 +506,8 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
 
     preds: list = []
     text_zg: list[np.ndarray] = []
-    for start in range(0, len(rows), eval_batch):
-        batch = make_batch(rows[start:start + eval_batch], cfg)
+    for start in range(0, len(rows), EVAL_BATCH):
+        batch = make_batch(rows[start:start + EVAL_BATCH], cfg)
         batch_preds, z_g = model._predict(batch)
         preds.extend(batch_preds)
         if "text" in z_g:
@@ -535,8 +527,6 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
     if text_zg:
         topics = np.array([r["topic"] for r in rows])
         metrics["silhouette"] = silhouette(np.vstack(text_zg), topics)
-    if was_training:
-        model.train()
     return metrics
 
 

@@ -12,11 +12,17 @@ from .vocab import EOS, PAD, SOS
 
 
 class ClassifierHead(Module):
-    """affine -> LeakyReLU -> affine producing class logits."""
+    """affine -> LeakyReLU -> affine producing class logits, trained with
+    cross-entropy or, with loss="hinge", the multiclass hinge loss."""
+
+    LOSSES = {"cross_entropy": softmax_cross_entropy, "hinge": multiclass_hinge}
 
     def __init__(self, d_fuse: int, hidden: int, n_classes: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, loss: str = "cross_entropy"):
         super().__init__()
+        if loss not in self.LOSSES:
+            raise ValueError(f"unknown classification loss {loss!r}")
+        self._loss = self.LOSSES[loss]
         self.d_fuse = d_fuse
         self.n_classes = n_classes
         self.fc1 = self.add_child("fc1", Affine(d_fuse, hidden, rng))
@@ -28,12 +34,8 @@ class ClassifierHead(Module):
                 f"classifier expects width {self.d_fuse}, got {z_fuse.shape[1]}")
         return self.fc2(ad.leaky_relu(self.fc1(z_fuse), alpha=0.2))
 
-    def loss(self, logits: Tensor, labels: np.ndarray, kind: str = "cross_entropy") -> Tensor:
-        if kind == "cross_entropy":
-            return softmax_cross_entropy(logits, labels)
-        if kind == "hinge":
-            return multiclass_hinge(logits, labels)
-        raise ValueError(f"unknown classification loss {kind!r}")
+    def loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
+        return self._loss(logits, labels)
 
 
 class AttentiveDecoder(Module):

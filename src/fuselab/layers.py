@@ -9,13 +9,12 @@ from .autodiff import DimensionError, Tensor
 
 
 class Module:
-    """Minimal container: named parameters, named buffers, train/eval mode."""
+    """Minimal container: named parameters, named buffers, child modules."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self._children: dict[str, "Module"] = {}
-        self.training = True
 
     def add_param(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
@@ -45,26 +44,9 @@ class Module:
             out.update(child.buffers(prefix + cname + "."))
         return out
 
-    def set_buffer(self, path: str, data: np.ndarray) -> None:
-        mod = self
-        parts = path.split(".")
-        for p in parts[:-1]:
-            mod = mod._children[p]
-        mod._buffers[parts[-1]][...] = data
-
     def zero_grads(self) -> None:
         for t in self.parameters().values():
             t.zero_grad()
-
-    def train(self) -> None:
-        self.training = True
-        for c in self._children.values():
-            c.train()
-
-    def eval(self) -> None:
-        self.training = False
-        for c in self._children.values():
-            c.eval()
 
 
 class Affine(Module):
@@ -211,11 +193,11 @@ class LSTMCell(Module):
         return Tensor(z.copy()), Tensor(z.copy())
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0 or in eval mode."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout; identity when p == 0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} out of [0, 1)")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     return x * Tensor(mask)

@@ -306,7 +306,6 @@ def test_criterion_7_latent_topology(translation_runs):
     gm, gi, gcfg = translation_runs["amb_gan"]
     amb_test = translation_runs["amb_test"]
     fresh = harness.FusionModel(gcfg, gi, np.random.default_rng(0))
-    fresh.eval()
     pre = harness.evaluate_model(fresh, gi, amb_test)["silhouette"]
     post = harness.evaluate_model(gm, gi, amb_test)["silhouette"]
     gain = post - pre

@@ -6,6 +6,7 @@ import struct
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuselab import data as data_mod
@@ -129,6 +130,7 @@ def test_invalid_config_exit_code_1(workdir):
     ("--lambda1", "inf", "lambda1"),
     ("--lambda2", "nan", "lambda2"),
     ("--max-decode-len", "0", "max_decode_len"),
+    ("--patience", "0", "patience"),
 ])
 def test_out_of_range_value_exit_code_1(workdir, tmp_path, capsys, flag, value, key):
     rc = main(["train", "--task", "translation", "--fusion", "gan", "--epochs", "1",
@@ -190,6 +192,18 @@ def test_corrupt_checkpoint_exit_code_2(workdir, tmp_path):
     rc = main(["eval", "--checkpoint", str(bad),
                "--dataset", str(workdir / "dsets" / "test.tsv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("shape", [(1,), (), (2,)])
+def test_buffer_of_wrong_shape_exit_code_2(misfit_paths, tmp_path, capsys, shape):
+    """A normalisation buffer is copied in only at the model's own shape."""
+    ckpt = load_checkpoint(misfit_paths["ckpt"])
+    ckpt.tensors["video_enc.norm_std"] = np.full(shape, 2.0)
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, ckpt)
+    rc = main(["eval", "--checkpoint", str(bad), "--dataset", misfit_paths["mt_val"]])
+    assert rc == 2
+    assert capsys.readouterr().err == "runtime error: shape mismatch for video_enc.norm_std\n"
 
 
 def test_hostile_checkpoint_header_exit_code_2(workdir, tmp_path):
@@ -371,6 +385,24 @@ def test_malformed_data_block_exit_code_2(misfit_paths, tmp_path, capsys, monkey
     assert rc == 2
     assert err.startswith("runtime error: checkpoint [data] block: ")
     assert key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--word-drop-p", "-0.5"],
+    ["eval", "--word-drop-p", "nan"],
+    ["eval", "--word-drop-p", "1.5"],
+    ["ablate", "--p-grid=-0.5,nan", "--out", "{out}"],
+    ["ablate", "--p-grid=0.0,nan", "--out", "{out}"],
+])
+def test_word_drop_p_outside_unit_interval_exit_code_1(misfit_paths, tmp_path, capsys,
+                                                        argv):
+    out = tmp_path / "abl.csv"
+    rc = main([a.format(out=out) for a in argv]
+              + ["--checkpoint", misfit_paths["ckpt"], "--dataset", misfit_paths["mt_val"]])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: word-drop probability must lie in [0, 1], got ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, kind, modalities", [

@@ -81,6 +81,7 @@ def test_parse_missing_equals_rejected():
     "dropout_p = 1.0",
     "classification_loss = mse",
     "epochs = 0",
+    "patience = 0",
 ])
 def test_invariant_violations(text):
     cfg = parse_config_text(text + "\n")

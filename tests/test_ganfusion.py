@@ -28,9 +28,9 @@ def make_bundle(rng, dims, batch=4):
     return LatentBundle(latents=latents, text_states=states, text_mask=mask)
 
 
-def make_stack(rng, dims, d_fuse=6, sigma=1.0):
+def make_stack(rng, dims, d_fuse=6, sigma=1.0, saturating=False):
     return GanFusionStack(dims, d_fuse=d_fuse, d_noise=4, d_disc_hidden=8,
-                          noise_sigma=sigma, rng=rng)
+                          noise_sigma=sigma, rng=rng, saturating=saturating)
 
 
 def test_trimodal_text_module_complements_exclude_text(rng):
@@ -132,14 +132,14 @@ def test_perfect_discriminator_loss_clamped_near_zero(rng):
 
 
 def test_generator_loss_values(rng):
-    stack = make_stack(rng, {"speech": 4, "text": 5})
-    mod = stack.modules["text"]
-    for p in mod.discriminator.parameters().values():
-        p.data[...] = 0.0
     z_g = Tensor(rng.normal(size=(8, 6)))
-    assert mod.generator_loss(z_g).item() == pytest.approx(math.log(2), abs=1e-12)
-    assert mod.generator_loss(z_g, saturating=True).item() == pytest.approx(
-        -math.log(2), abs=1e-12)
+    # D = 1/2 everywhere: -log(1/2) non-saturating, log(1 - 1/2) saturating
+    for saturating, want in ((False, math.log(2)), (True, -math.log(2))):
+        stack = make_stack(rng, {"speech": 4, "text": 5}, saturating=saturating)
+        mod = stack.modules["text"]
+        for p in mod.discriminator.parameters().values():
+            p.data[...] = 0.0
+        assert mod.generator_loss(z_g).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_clamped_log_floor():

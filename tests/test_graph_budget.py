@@ -5,8 +5,11 @@ node and batch the per-step math over all steps, so the graph they build does
 not grow with the sequence length; a change that adds per-step work fails
 here. Greedy decoding runs on arrays and builds no node at all. An affine
 layer is one node, bias add included, so a GAN-Fusion step builds a fixed
-number of nodes; a layer split back into two fails here.
+number of nodes; a layer split back into two fails here. Every public graph
+op is built by some model's training step, so an op no model runs fails here.
 """
+
+import inspect
 
 import numpy as np
 
@@ -20,16 +23,16 @@ from fuselab.heads import AttentiveDecoder
 from fuselab.vocab import EOS, PAD
 
 
-def graph_size(loss: Tensor) -> int:
-    """Tensors reachable from ``loss`` through grad-tracking parents."""
-    seen = {id(loss)}
+def graph(loss: Tensor) -> list[Tensor]:
+    """``loss`` and the tensors reachable from it through grad-tracking parents."""
+    seen = {id(loss): loss}
     stack = [loss]
     while stack:
         for parent in stack.pop()._parents:
             if parent.requires_grad and id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 stack.append(parent)
-    return len(seen)
+    return list(seen.values())
 
 
 def test_text_encoder_nodes_per_source_step():
@@ -39,7 +42,7 @@ def test_text_encoder_nodes_per_source_step():
     def nodes(L):
         ids = np.full((2, L), 4)
         z, states, _ = enc(ids, np.array([L, 2]))
-        return graph_size(ad.sum(z) + ad.sum(states))
+        return len(graph(ad.sum(z) + ad.sum(states)))
 
     assert nodes(5) == nodes(4)
 
@@ -58,7 +61,7 @@ def test_teacher_forced_loss_nodes_per_target_step():
         targets[0, :-1] = 5
         targets[0, -1] = EOS
         targets[1, :2] = [5, EOS]
-        return graph_size(dec.teacher_forced_loss(z, states, np.ones((2, 3)), targets))
+        return len(graph(dec.teacher_forced_loss(z, states, np.ones((2, 3)), targets)))
 
     assert nodes(5) == nodes(4)
 
@@ -85,23 +88,54 @@ def test_greedy_decode_builds_no_node(monkeypatch):
     assert made                     # the counter does see graph ops
 
 
-def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
-    samples = data_mod.gen_interaction_dataset(12, seed=3, noise=0.3)
+def one_step_losses(tmp_path, monkeypatch, samples, **cfg) -> list[Tensor]:
+    """The losses one training step backpropagates, for a run whose whole
+    train split (the first 8 samples) is one batch."""
     paths = {}
     for name, part in (("train", samples[:8]), ("val", samples[8:])):
         paths[name] = str(tmp_path / f"{name}.tsv")
         data_mod.write_dataset(paths[name], part)
-    sizes = []
+    losses = []
     backward = ad.backward
 
-    def counted(loss):
-        sizes.append(graph_size(loss))
+    def recorded(loss):
+        losses.append(loss)
         backward(loss)
 
-    monkeypatch.setattr(ad, "backward", counted)
-    # one step: the whole train split is one batch
-    harness.train(ExperimentConfig(
-        task="classification", fusion="gan", modalities=("video", "speech"),
-        epochs=1, batch_size=8, noise_sigma=1.0, seed=5,
-        train_path=paths["train"], val_path=paths["val"]))
-    assert sizes == [39, 56]        # d_loss, then j_total
+    monkeypatch.setattr(ad, "backward", recorded)
+    harness.train(ExperimentConfig(epochs=1, batch_size=8, train_path=paths["train"],
+                                   val_path=paths["val"], **cfg))
+    monkeypatch.undo()
+    return losses
+
+
+XOR_GAN = dict(task="classification", fusion="gan", modalities=("video", "speech"),
+               noise_sigma=1.0, seed=5)
+
+
+def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
+    losses = one_step_losses(tmp_path, monkeypatch,
+                             data_mod.gen_interaction_dataset(12, seed=3, noise=0.3), **XOR_GAN)
+    assert [len(graph(loss)) for loss in losses] == [39, 56]   # d_loss, then j_total
+
+
+def test_every_graph_op_runs_in_a_model(tmp_path, monkeypatch):
+    """Each public autodiff op that builds a graph node is built by the
+    training step of XOR GAN, trimodal translation GAN, XOR Auto-Fusion or
+    concat fusion; an op no model runs fails here."""
+    xor = data_mod.gen_interaction_dataset(12, seed=3, noise=0.3)
+    runs = [(xor, XOR_GAN),
+            (data_mod.gen_toy_translation(12, seed=3), dict(task="translation", fusion="gan")),
+            (xor, dict(XOR_GAN, fusion="auto")), (xor, dict(XOR_GAN, fusion="concat"))]
+    built = set()
+    for k, (samples, cfg) in enumerate(runs):
+        (tmp_path / str(k)).mkdir()
+        for loss in one_step_losses(tmp_path / str(k), monkeypatch, samples, **cfg):
+            # an op's node keeps its backward closure, named "<op>.<locals>.bw"
+            built.update(t._backward.__qualname__.split(".")[0] for t in graph(loss)
+                         if t._backward is not None)
+    ops = {name for name, fn in vars(ad).items()
+           if inspect.isfunction(fn) and not name.startswith("_")
+           and fn.__module__ == ad.__name__ and "_make" in fn.__code__.co_names}
+    assert ops >= {"add", "affine", "softmax"}
+    assert ops - built == set()

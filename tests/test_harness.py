@@ -165,6 +165,17 @@ def test_word_drop_eval_does_not_perturb_training(cls_paths, mt_paths):
     assert base == again
 
 
+@pytest.mark.parametrize("p", [-0.5, float("nan"), 1.5])
+def test_word_drop_p_outside_unit_interval_rejected_without_text(cls_paths, p):
+    """A model that reads no text still rejects a probability outside [0, 1]."""
+    samples = data_mod.read_dataset(cls_paths["test"])
+    cfg = quick_config(cls_paths, modalities=("video", "speech"))
+    info = harness.DataInfo.from_samples(samples, cfg.task)
+    model = harness.FusionModel(cfg, info, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"word-drop probability must lie in \[0, 1\]"):
+        harness.evaluate_model(model, info, samples, word_drop_p=p)
+
+
 # -- checkpoint integration --------------------------------------------------
 
 def test_checkpoint_round_trip_eval_bit_identical(cls_paths, tmp_path):
@@ -238,13 +249,13 @@ def test_eval_encodes_each_batch_once(mt_paths, monkeypatch):
     info = harness.DataInfo.from_samples(
         data_mod.read_dataset(mt_paths["train"]), cfg.task)
     model = harness.FusionModel(cfg, info, np.random.default_rng(3))
-    model.eval()
 
     calls = []
     encode = harness.FusionModel.encode
     monkeypatch.setattr(harness.FusionModel, "encode",
                         lambda self, batch: calls.append(1) or encode(self, batch))
-    metrics = harness.evaluate_model(model, info, samples, eval_batch=10)
+    monkeypatch.setattr(harness, "EVAL_BATCH", 10)
+    metrics = harness.evaluate_model(model, info, samples)
     monkeypatch.undo()
     n_batches = -(-len(samples) // 10)
     assert n_batches > 1 and len(calls) == n_batches

@@ -36,11 +36,12 @@ def test_classifier_width_mismatch(rng):
 
 
 def test_classifier_hinge_flag(rng):
-    head = ClassifierHead(3, 4, 3, rng)
+    head = ClassifierHead(3, 4, 3, rng, loss="hinge")
     logits = head(Tensor(rng.normal(size=(4, 3))))
-    assert head.loss(logits, np.array([0, 1, 2, 0]), kind="hinge").item() >= 0.0
-    with pytest.raises(ValueError):
-        head.loss(logits, np.array([0, 1, 2, 0]), kind="nope")
+    labels = np.array([0, 1, 2, 0])
+    assert head.loss(logits, labels).item() == layers.multiclass_hinge(logits, labels).item()
+    with pytest.raises(ValueError, match="unknown classification loss 'nope'"):
+        ClassifierHead(3, 4, 3, rng, loss="nope")
 
 
 def make_decoder(rng, **kw):

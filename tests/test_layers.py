@@ -258,13 +258,25 @@ def test_adam_registration_order_invariant(rng):
 
 def test_dropout_identity_cases(rng):
     x = Tensor(rng.uniform(-1, 1, size=(3, 3)))
-    assert layers.dropout(x, 0.0, True, rng) is x
-    assert layers.dropout(x, 0.7, False, rng) is x
+    assert layers.dropout(x, 0.0, rng) is x
+    # a model drops only when task_loss gets a drop RNG, as training gives it
+    info = harness.DataInfo(n_classes=3, speech_dim=2, video_dim=2)
+    batch = harness.Batch(speech=rng.normal(size=(4, 2)), video=rng.normal(size=(4, 2)),
+                          labels=np.array([0, 1, 2, 0]))
+    losses = []
+    for p, drop_rng in ((0.0, None), (0.7, None), (0.7, np.random.default_rng(1))):
+        model = harness.FusionModel(ExperimentConfig(modalities=("video", "speech"),
+                                                     dropout_p=p), info,
+                                    np.random.default_rng(0))
+        bundle = model.encode(batch)
+        losses.append(model.task_loss(model.fuse(bundle, None), bundle, batch,
+                                      drop_rng).data.tobytes())
+    assert losses[1] == losses[0] != losses[2]
 
 
 def test_dropout_bad_p(rng):
     with pytest.raises(ValueError):
-        layers.dropout(Tensor([1.0]), 1.0, True, rng)
+        layers.dropout(Tensor([1.0]), 1.0, rng)
 
 
 def test_dropout_preserves_expectation(rng):
@@ -272,13 +284,13 @@ def test_dropout_preserves_expectation(rng):
     total = np.zeros((1, 8))
     n = 10_000
     for _ in range(n):
-        total += layers.dropout(x, 0.4, True, rng).data
+        total += layers.dropout(x, 0.4, rng).data
     np.testing.assert_allclose(total / n, x.data, rtol=0.02)
 
 
 def test_dropout_gradient_matches_mask(rng):
     x = Tensor(np.ones((2, 5)), requires_grad=True)
-    out = layers.dropout(x, 0.5, True, rng)
+    out = layers.dropout(x, 0.5, rng)
     ad.sum(out).backward()
     np.testing.assert_allclose(x.grad, (out.data != 0) * 2.0)
 
