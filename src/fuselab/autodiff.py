@@ -7,9 +7,10 @@ every reachable tensor that has ``requires_grad`` set. Leaves (parameters and
 inputs) are never visited, only accumulated into. Gradients accumulate across
 backward calls; callers zero them between optimizer steps.
 
-Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu;
-matmul, bmm and affine (``x @ W + b`` as one node); concat, narrow, reshape,
-transpose; sum, mean, softmax.
+Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu; affine
+(``x @ W + b`` as one node); concat, narrow, reshape; sum, mean. Layers with
+a fused forward (the LSTM sequence, the decoder's attention readout) build
+their own node with ``_make``.
 
 Gradients are not copied: a ``.grad`` may be the very array a child's backward
 handed over, shared with other tensors' grads, so grads are read-only. An
@@ -203,20 +204,6 @@ def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
 
 # -- linear algebra ----------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(out_data, (a, b), bw)
-
-
 def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """x @ W + b as one node: x (n, d_in), W (d_in, d_out), b (d_out,)."""
     xd, wd = x.data, W.data
@@ -234,21 +221,6 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g.sum(axis=0))
 
     return _make(out_data, (x, W, b), bw)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: (B,m,k) @ (B,k,n) -> (B,m,n)."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise DimensionError(f"bmm shape mismatch: {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ np.transpose(b.data, (0, 2, 1)))
-        if b.requires_grad:
-            b._accumulate(np.transpose(a.data, (0, 2, 1)) @ g)
-
-    return _make(out_data, (a, b), bw)
 
 
 # -- structural ops ----------------------------------------------------------
@@ -302,16 +274,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _make(out_data, (x,), bw)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out_data = np.transpose(x.data, axes)
-    inv = np.argsort(axes)
-
-    def bw(g):
-        x._accumulate(np.transpose(g, inv))
-
-    return _make(out_data, (x,), bw)
-
-
 # -- reductions --------------------------------------------------------------
 
 def _check_axis(x: Tensor, axis):
@@ -340,19 +302,6 @@ def mean(x: Tensor, axis: int | None = None) -> Tensor:
         full = np.empty(x.shape)
         full[...] = (g if axis is None else np.expand_dims(g, axis)) / n
         x._accumulate(full)
-
-    return _make(out_data, (x,), bw)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - dot))
 
     return _make(out_data, (x,), bw)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -60,7 +61,16 @@ def _out_dir(cfg: ExperimentConfig) -> str:
     return root
 
 
+def _check_range(args, *names) -> None:
+    """Reject a negative or non-finite value of each named flag, naming it."""
+    for name in names:
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value}")
+
+
 def cmd_gen_data(args) -> int:
+    _check_range(args, "seed", "noise")
     # the translation generator's flags; one left unset keeps its default
     given = {name: value for name, value in (("vocab_size", args.vocab_size),
                                              ("ambiguity_rate", args.ambiguity_rate))
@@ -107,6 +117,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_range(args, "drop_seed")
     metrics = harness.evaluate_checkpoint(args.checkpoint, args.dataset,
                                           word_drop_p=args.word_drop_p,
                                           drop_seed=args.drop_seed)

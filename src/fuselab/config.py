@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.d_noise < 0:
             raise ConfigError(f"d_noise must be >= 0, got {self.d_noise}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_decode_len < 1:
             raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
         if self.fusion == "gan" and len(self.modalities) < 2:

@@ -76,32 +76,44 @@ class AttentiveDecoder(Module):
         z = ad.reshape(z_fuse, (b, 1, self.d_fuse)) * Tensor(np.ones((1, T, 1)))
         return ad.concat([x, z], axis=2)
 
-    def _readout(self, hs: Tensor, states: Tensor, mask: np.ndarray
-                 ) -> tuple[Tensor, Tensor]:
-        """Attention of every decoder state hs (b, T, h) over the encoder
-        states (b, L, eh), then the output layer: returns (logits (b*T, V),
-        attention weights (b, T, L)). Row i*T + j of the logits is step j of
-        batch row i."""
-        b, T, hd = hs.shape
-        eh = states.shape[2]
-        q = ad.reshape(ad.matmul(ad.reshape(hs, (b * T, hd)), self.attn_W), (b, T, eh))
-        scores = ad.bmm(q, ad.transpose(states, (0, 2, 1)))          # (b, T, L)
-        scores = scores + Tensor(_mask_bias(mask))
-        weights = ad.softmax(scores, axis=2)
-        context = ad.bmm(weights, states)                              # (b, T, eh)
-        feats = ad.reshape(ad.concat([hs, context], axis=2), (b * T, hd + eh))
-        return self.out(feats), weights
+    def _attend(self, h_rows: np.ndarray, states: np.ndarray, bias: np.ndarray):
+        """Attention of decoder states h_rows (b*T, h), row i*T + j being step
+        j of batch row i, over the encoder states (b, L, eh) with score bias
+        (b, 1, L), then the output layer. Returns the logits (b*T, V) and what
+        ``_readout``'s backward reads: the query (b, T, eh), the attention
+        weights (b, T, L) and the output layer's input (b*T, h + eh)."""
+        b, L, eh = states.shape
+        q = (h_rows @ self.attn_W.data).reshape(b, -1, eh)
+        scores = q @ states.transpose(0, 2, 1) + bias
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        weights = e / e.sum(axis=2, keepdims=True)
+        feats = np.concatenate([h_rows, (weights @ states).reshape(-1, eh)], axis=1)
+        return feats @ self.out.W.data + self.out.b.data, q, weights, feats
 
-    def decode_step(self, prev_tokens: np.ndarray, h: Tensor, c: Tensor,
-                    z_fuse: Tensor, states: Tensor, mask: np.ndarray
-                    ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        """One step: returns (logits (b,V), h', c', attention weights (b,L))."""
-        prev_tokens = np.asarray(prev_tokens)
-        b, hd = prev_tokens.shape[0], self.hidden
-        hc = self.cell.sequence(self._inputs(prev_tokens[:, None], z_fuse), h, c)
-        h_new, c_new = (ad.reshape(ad.narrow(hc, 2, k * hd, hd), (b, hd)) for k in (0, 1))
-        logits, weights = self._readout(ad.reshape(h_new, (b, 1, hd)), states, mask)
-        return logits, h_new, c_new, ad.reshape(weights, (b, states.shape[1]))
+    def _readout(self, hs: Tensor, states: Tensor, mask: np.ndarray) -> Tensor:
+        """``_attend`` as one graph node: logits (b*T, V) for the decoder
+        states hs (b, T, h); row i*T + j is step j of batch row i. The
+        backward runs the chain rule of the output layer, the context sum,
+        the softmax, the bilinear score and the query, in that order."""
+        b, T, hd = hs.shape
+        h_rows, st = hs.data.reshape(b * T, hd), states.data
+        logits, q, weights, feats = self._attend(h_rows, st, _mask_bias(mask))
+        attn_W, out_W, out_b = self.attn_W, self.out.W, self.out.b
+
+        def bw(g):      # _accumulate ignores a tensor that needs no grad
+            out_W._accumulate(feats.T @ g)
+            out_b._accumulate(g.sum(axis=0))
+            g_feats = (g @ out_W.data.T).reshape(b, T, -1)
+            g_context = g_feats[:, :, hd:]
+            g_weights = g_context @ st.transpose(0, 2, 1)
+            g_scores = weights * (g_weights - (g_weights * weights).sum(axis=2, keepdims=True))
+            g_q = (g_scores @ st).reshape(b * T, -1)
+            attn_W._accumulate(h_rows.T @ g_q)
+            hs._accumulate(g_feats[:, :, :hd] + (g_q @ attn_W.data.T).reshape(b, T, hd))
+            states._accumulate(weights.transpose(0, 2, 1) @ g_context
+                               + (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1))
+
+        return ad._make(logits, (hs, states, attn_W, out_W, out_b), bw)
 
     def teacher_forced_loss(self, z_fuse: Tensor, states: Tensor,
                             mask: np.ndarray, targets: np.ndarray) -> Tensor:
@@ -110,13 +122,13 @@ class AttentiveDecoder(Module):
         targets: (b, T) token ids ending in EOS then PAD; the input at step j
         is SOS for j=0 else targets[:, j-1]. The inputs are known up front and
         attention does not feed back into the LSTM, so all T steps run as one
-        LSTM sequence, one batched attention and one output layer.
+        LSTM sequence node and one readout node.
         """
         targets = np.asarray(targets, dtype=np.int64)
         b = targets.shape[0]
         inputs = np.concatenate([np.full((b, 1), SOS), targets[:, :-1]], axis=1)
         hc = self.cell.sequence(self._inputs(inputs, z_fuse), *self.init_state(z_fuse))
-        logits, _ = self._readout(ad.narrow(hc, 2, 0, self.hidden), states, mask)
+        logits = self._readout(ad.narrow(hc, 2, 0, self.hidden), states, mask)
         return softmax_cross_entropy(logits, targets.reshape(-1), ignore_index=PAD)
 
     def decode_greedy(self, z_fuse: Tensor, states: Tensor, mask: np.ndarray,
@@ -128,7 +140,7 @@ class AttentiveDecoder(Module):
         (V, 4h) are made once per batch, then each step is ``_array_step``,
         which takes its input rows from that table. Under
         ``condition_every_step`` the input depends on z, so each step
-        projects it instead, with results equal to ``decode_step``'s bit for
+        projects it instead, with results equal to the graph step's bit for
         bit. A row leaves the batch at the step that emits its EOS, so each
         step runs only the live rows.
         """
@@ -157,13 +169,14 @@ class AttentiveDecoder(Module):
                     a[live] for a in (rows, prev, h, c, z, st, bias))
         return [tokens[i, :length[i]].tolist() for i in range(b)]
 
-    def _array_step(self, prev, h, c, z, states, bias, table=None, neg_u=None):
-        """``decode_step`` on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
+    def _array_step(self, prev, h, c, z, states, bias, table, neg_u):
+        """One decoder step on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
         states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c').
         ``decode_greedy`` passes what it makes once per batch: -U and
         ``table``, the LSTM input projection of the vocabulary, whose rows
-        the step gathers. Without the table, every op and operand layout is
-        the graph's, so the results are bitwise equal."""
+        the step gathers. With ``table=None``, every op and operand layout is
+        that of the graph step (``cell.sequence`` of length one, then
+        ``_readout``), so the results are bitwise equal."""
         hd = self.hidden
         if table is None:
             x = self.embed.table.data[prev]
@@ -172,18 +185,11 @@ class AttentiveDecoder(Module):
             xw = self.cell.project(x)
         else:
             xw = table[prev]
-        if neg_u is None:
-            neg_u = -self.cell.U.data
         n = xw.shape[0]
         hc = np.empty((n, 2 * hd))
         self.cell.step_into(xw, neg_u, h, c, np.empty((n, 4 * hd)), np.empty((n, hd)), hc)
         h = hc[:, :hd]
-        scores = (h @ self.attn_W.data)[:, None] @ states.transpose(0, 2, 1) + bias
-        e = np.exp(scores - scores.max(axis=2, keepdims=True))
-        weights = e / e.sum(axis=2, keepdims=True)
-        context = (weights @ states)[:, 0]
-        logits = np.concatenate([h, context], axis=1) @ self.out.W.data + self.out.b.data
-        return logits, h, hc[:, hd:]
+        return self._attend(h, states, bias)[0], h, hc[:, hd:]
 
 
 def _mask_bias(mask: np.ndarray) -> np.ndarray:

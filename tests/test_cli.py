@@ -131,6 +131,7 @@ def test_invalid_config_exit_code_1(workdir):
     ("--lambda2", "nan", "lambda2"),
     ("--max-decode-len", "0", "max_decode_len"),
     ("--patience", "0", "patience"),
+    ("--seed", "-1", "seed"),
 ])
 def test_out_of_range_value_exit_code_1(workdir, tmp_path, capsys, flag, value, key):
     rc = main(["train", "--task", "translation", "--fusion", "gan", "--epochs", "1",
@@ -139,6 +140,20 @@ def test_out_of_range_value_exit_code_1(workdir, tmp_path, capsys, flag, value, 
                "--out-dir", str(tmp_path), flag, value])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen-data", "--kind", "interaction", "--seed", "-1"], "--seed"),
+    (["gen-data", "--kind", "translation", "--noise", "-1"], "--noise"),
+    (["gen-data", "--kind", "interaction", "--noise", "nan"], "--noise"),
+    (["gen-data", "--kind", "interaction", "--noise", "inf"], "--noise"),
+    (["eval", "--checkpoint", "c.bin", "--dataset", "d.tsv", "--drop-seed", "-1",
+      "--word-drop-p", "0.2"], "--drop-seed"),
+])
+def test_out_of_range_flag_names_the_flag(tmp_path, capsys, argv, flag):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be finite and >= 0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_file_value_names_the_file(tmp_path, capsys):

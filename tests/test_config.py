@@ -82,6 +82,7 @@ def test_parse_missing_equals_rejected():
     "classification_loss = mse",
     "epochs = 0",
     "patience = 0",
+    "seed = -1",
 ])
 def test_invariant_violations(text):
     cfg = parse_config_text(text + "\n")

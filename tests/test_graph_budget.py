@@ -4,9 +4,10 @@ The encoder and the teacher-forced decoder run each sequence as one LSTM
 node and batch the per-step math over all steps, so the graph they build does
 not grow with the sequence length; a change that adds per-step work fails
 here. Greedy decoding runs on arrays and builds no node at all. An affine
-layer is one node, bias add included, so a GAN-Fusion step builds a fixed
-number of nodes; a layer split back into two fails here. Every public graph
-op is built by some model's training step, so an op no model runs fails here.
+layer is one node, bias add included, and so are the decoder's attention and
+output layer, so a GAN-Fusion step builds a fixed number of nodes; a layer
+split back into several fails here. Every public graph op is built by some
+model's training step, so an op no model runs fails here.
 """
 
 import inspect
@@ -84,7 +85,7 @@ def test_greedy_decode_builds_no_node(monkeypatch):
     monkeypatch.setattr(ad, "_make", counted)
     out = dec.decode_greedy(z, states, mask, max_len=6)
     assert len(out) == 3 and made == []
-    dec.decode_step(np.full(3, 2), *dec.init_state(z), z, states, mask)
+    dec.teacher_forced_loss(z, states, mask, np.array([[5, EOS]] * 3))
     assert made                     # the counter does see graph ops
 
 
@@ -119,14 +120,25 @@ def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
     assert [len(graph(loss)) for loss in losses] == [39, 56]   # d_loss, then j_total
 
 
+def test_translation_gan_step_nodes(tmp_path, monkeypatch):
+    """Trimodal translation GAN: the decoder's attention and output layer
+    are one node, so the whole step builds 59 + 127 nodes."""
+    losses = one_step_losses(tmp_path, monkeypatch, data_mod.gen_toy_translation(12, seed=3),
+                             task="translation", fusion="gan")
+    assert [len(graph(loss)) for loss in losses] == [59, 127]  # d_loss, then j_total
+
+
 def test_every_graph_op_runs_in_a_model(tmp_path, monkeypatch):
     """Each public autodiff op that builds a graph node is built by the
     training step of XOR GAN, trimodal translation GAN, XOR Auto-Fusion or
-    concat fusion; an op no model runs fails here."""
+    concat fusion, the last also with the hinge loss; an op no model runs
+    fails here. Only the knob paths build ``reshape``: the hinge loss and
+    the decoder's ``condition_every_step`` input."""
     xor = data_mod.gen_interaction_dataset(12, seed=3, noise=0.3)
     runs = [(xor, XOR_GAN),
             (data_mod.gen_toy_translation(12, seed=3), dict(task="translation", fusion="gan")),
-            (xor, dict(XOR_GAN, fusion="auto")), (xor, dict(XOR_GAN, fusion="concat"))]
+            (xor, dict(XOR_GAN, fusion="auto")), (xor, dict(XOR_GAN, fusion="concat")),
+            (xor, dict(XOR_GAN, fusion="concat", classification_loss="hinge"))]
     built = set()
     for k, (samples, cfg) in enumerate(runs):
         (tmp_path / str(k)).mkdir()
@@ -137,5 +149,5 @@ def test_every_graph_op_runs_in_a_model(tmp_path, monkeypatch):
     ops = {name for name, fn in vars(ad).items()
            if inspect.isfunction(fn) and not name.startswith("_")
            and fn.__module__ == ad.__name__ and "_make" in fn.__code__.co_names}
-    assert ops >= {"add", "affine", "softmax"}
+    assert ops >= {"add", "affine", "reshape"}
     assert ops - built == set()

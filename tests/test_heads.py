@@ -49,16 +49,28 @@ def make_decoder(rng, **kw):
                             d_fuse=3, rng=rng, **kw)
 
 
+def decode_step(dec, prev_tokens, h, c, z_fuse, states, mask):
+    """One decoder step as a graph: the LSTM sequence at length one, then the
+    fused readout. Returns (logits (b, V), h', c', attention weights (b, L)).
+    No model runs it; it is the bitwise oracle of ``_array_step``."""
+    b, hd = len(prev_tokens), dec.hidden
+    hc = dec.cell.sequence(dec._inputs(np.asarray(prev_tokens)[:, None], z_fuse), h, c)
+    h, c = (ad.reshape(ad.narrow(hc, 2, k * hd, hd), (b, hd)) for k in (0, 1))
+    logits = dec._readout(ad.reshape(h, (b, 1, hd)), states, mask)
+    weights = dec._attend(h.data, states.data, heads._mask_bias(mask))[2]
+    return logits, h, c, weights[:, 0]
+
+
 def test_single_unmasked_position_gets_full_weight(rng):
     dec = make_decoder(rng)
     states = Tensor(rng.normal(size=(2, 4, 6)))
     mask = np.zeros((2, 4))
     mask[:, 2] = 1.0
     h, c = dec.init_state(Tensor(rng.normal(size=(2, 3))))
-    _, _, _, w = dec.decode_step(np.array([SOS, SOS]), h, c,
-                                 Tensor(rng.normal(size=(2, 3))), states, mask)
-    np.testing.assert_allclose(w.data[:, 2], 1.0, atol=1e-12)
-    np.testing.assert_allclose(w.data[:, [0, 1, 3]], 0.0, atol=1e-12)
+    _, _, _, w = decode_step(dec, np.array([SOS, SOS]), h, c,
+                             Tensor(rng.normal(size=(2, 3))), states, mask)
+    np.testing.assert_allclose(w[:, 2], 1.0, atol=1e-12)
+    np.testing.assert_allclose(w[:, [0, 1, 3]], 0.0, atol=1e-12)
 
 
 def test_uniform_scores_mean_context(rng):
@@ -68,8 +80,8 @@ def test_uniform_scores_mean_context(rng):
     mask = np.ones((1, 5))
     z = Tensor(rng.normal(size=(1, 3)))
     h, c = dec.init_state(z)
-    _, _, _, w = dec.decode_step(np.array([SOS]), h, c, z, states, mask)
-    np.testing.assert_allclose(w.data, 0.2, atol=1e-12)
+    _, _, _, w = decode_step(dec, np.array([SOS]), h, c, z, states, mask)
+    np.testing.assert_allclose(w, 0.2, atol=1e-12)
 
 
 def test_attention_weights_sum_to_one(rng):
@@ -81,9 +93,9 @@ def test_attention_weights_sum_to_one(rng):
     h, c = dec.init_state(z)
     prev = np.array([SOS] * 3)
     for _ in range(4):
-        _, h, c, w = dec.decode_step(prev, h, c, z, states, mask)
-        np.testing.assert_allclose(w.data.sum(axis=1), 1.0, atol=1e-12)
-        np.testing.assert_array_equal(w.data[mask == 0.0], 0.0)
+        _, h, c, w = decode_step(dec, prev, h, c, z, states, mask)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(w[mask == 0.0], 0.0)
         prev = np.array([4, 5, 6])
 
 
@@ -93,7 +105,7 @@ def test_all_positions_masked_rejected(rng):
     z = Tensor(rng.normal(size=(1, 3)))
     h, c = dec.init_state(z)
     with pytest.raises(ValueError):
-        dec.decode_step(np.array([SOS]), h, c, z, states, np.zeros((1, 3)))
+        decode_step(dec, np.array([SOS]), h, c, z, states, np.zeros((1, 3)))
 
 
 def test_greedy_respects_max_len_and_determinism(rng):
@@ -131,7 +143,7 @@ def test_teacher_forced_loss_matches_per_step_reference(rng):
     prev = np.full(3, SOS)
     nll, count = 0.0, 0
     for j in range(targets.shape[1]):
-        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        logits, h, c, _ = decode_step(dec, prev, h, c, z, states, mask)
         log_p = logits.data - logits.data.max(axis=1, keepdims=True)
         log_p -= np.log(np.exp(log_p).sum(axis=1, keepdims=True))
         valid = targets[:, j] != PAD
@@ -155,6 +167,38 @@ def test_decoder_gradcheck(rng):
         return dec.teacher_forced_loss(ts[0], ts[1], mask, targets)
 
     check_gradients(fn, [z, states] + list(dec.parameters().values()))
+
+
+def test_readout_gradcheck(rng):
+    """The fused attention and output layer over T > 1 steps, ragged mask."""
+    dec = make_decoder(rng)
+    hs = Tensor(rng.uniform(-1, 1, size=(3, 4, 5)), requires_grad=True)
+    states = Tensor(rng.uniform(-1, 1, size=(3, 5, 6)), requires_grad=True)
+    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+    weight = Tensor(rng.normal(size=(12, 9)))
+    check_gradients(lambda ts: ad.sum(dec._readout(ts[0], ts[1], mask) * weight),
+                    [hs, states, dec.attn_W, dec.out.W, dec.out.b])
+
+
+def test_readout_skips_operand_without_grad(rng):
+    """Frozen encoder states get no grad, and every other operand's grad is
+    bit-identical to the one it gets when the states require grad."""
+    dec = make_decoder(rng)
+    hs_data, st_data = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4, 6))
+    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 1]], dtype=float)
+    weight = Tensor(rng.normal(size=(6, 9)))
+    params = [dec.attn_W, dec.out.W, dec.out.b]
+
+    def grads(states_grad):
+        hs = Tensor(hs_data, requires_grad=True)
+        states = Tensor(st_data, requires_grad=states_grad)
+        for p in params:
+            p.zero_grad()
+        ad.sum(dec._readout(hs, states, mask) * weight).backward()
+        return states.grad, [t.grad.tobytes() for t in [hs] + params]
+
+    assert grads(False)[0] is None
+    assert grads(False)[1] == grads(True)[1]
 
 
 def test_condition_every_step_changes_input_width(rng):
@@ -201,7 +245,7 @@ def reference_greedy(dec, z, states, mask, max_len):
     done = np.zeros(b, dtype=bool)
     out = [[] for _ in range(b)]
     for _ in range(max_len):
-        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        logits, h, c, _ = decode_step(dec, prev, h, c, z, states, mask)
         nxt = logits.data.argmax(axis=1)
         for i in range(b):
             if not done[i]:
@@ -249,12 +293,12 @@ def test_array_step_bitwise_equals_decode_step(condition_every_step, width):
     z = Tensor(rng.normal(size=(b, 32)))
     h, c = dec.init_state(z)
     h_arr, c_arr = h.data, c.data
-    bias = heads._mask_bias(mask)
+    bias, neg_u = heads._mask_bias(mask), -dec.cell.U.data
     prev = np.full(b, SOS)
     for _ in range(5):
-        logits, h, c, _ = dec.decode_step(prev, h, c, z, states, mask)
+        logits, h, c, _ = decode_step(dec, prev, h, c, z, states, mask)
         logits_arr, h_arr, c_arr = dec._array_step(prev, h_arr, c_arr, z.data,
-                                                      states.data, bias)
+                                                   states.data, bias, None, neg_u)
         for graph, arr in ((logits, logits_arr), (h, h_arr), (c, c_arr)):
             assert graph.data.tobytes() == np.ascontiguousarray(arr).tobytes()
         prev = logits_arr.argmax(axis=1)
@@ -268,13 +312,14 @@ def test_array_step_table_rows_match_per_step_projection(b):
     states = rng.normal(size=(b, 7, 65))
     bias = heads._mask_bias(np.ones((b, 7)))
     z = rng.normal(size=(b, 32))
-    table = dec.cell.project(dec.embed.table.data)
+    table, neg_u = dec.cell.project(dec.embed.table.data), -dec.cell.U.data
     h, c = (t.data for t in dec.init_state(Tensor(z)))
     h_tab, c_tab = h, c
     prev = np.full(b, SOS)
     for _ in range(5):
-        logits, h, c = dec._array_step(prev, h, c, z, states, bias)
-        logits_tab, h_tab, c_tab = dec._array_step(prev, h_tab, c_tab, z, states, bias, table)
+        logits, h, c = dec._array_step(prev, h, c, z, states, bias, None, neg_u)
+        logits_tab, h_tab, c_tab = dec._array_step(prev, h_tab, c_tab, z, states, bias,
+                                                   table, neg_u)
         np.testing.assert_allclose(logits_tab, logits, rtol=0, atol=1e-12)
         prev = logits.argmax(axis=1)
 

@@ -81,7 +81,7 @@ def _lstm_composite(cell, x, h, c):
     out = []
     for t in range(L):
         x_t = ad.reshape(ad.narrow(x, 1, t, 1), (b, d))
-        gates = ad.matmul(x_t, cell.W) + ad.matmul(h, cell.U) + cell.b
+        gates = ad.affine(x_t, cell.W, cell.b) + ad.affine(h, cell.U, Tensor(np.zeros(4 * hd)))
         i, f, o = (ad.sigmoid(ad.narrow(gates, 1, k * hd, hd)) for k in range(3))
         g = ad.tanh(ad.narrow(gates, 1, 3 * hd, hd))
         c = f * c + i * g
