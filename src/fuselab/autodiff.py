@@ -7,8 +7,8 @@ every reachable tensor that has ``requires_grad`` set. Leaves (parameters and
 inputs) are never visited, only accumulated into. Gradients accumulate across
 backward calls; callers zero them between optimizer steps.
 
-Ops: add, sub, mul (broadcasting); tanh, sigmoid, leaky_relu; affine
-(``x @ W + b`` as one node); concat, narrow, reshape; sum, mean. Layers with
+Ops: add, sub, mul (broadcasting); tanh, leaky_relu; affine (``x @ W + b``
+as one node); concat, narrow, reshape; sum, mean, mean_softplus. Layers with
 a fused forward (the LSTM sequence, the decoder's attention readout) build
 their own node with ``_make``.
 
@@ -183,15 +183,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.maximum(e, x >= 0.0) / (1.0 + e)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid(x.data)
-
-    def bw(g):
-        x._accumulate(g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (x,), bw)
-
-
 def leaky_relu(x: Tensor, alpha: float = 0.2) -> Tensor:
     slope = np.where(x.data >= 0.0, 1.0, alpha)
     out_data = x.data * slope
@@ -289,6 +280,18 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
         full = np.empty(x.shape)
         full[...] = g if axis is None else np.expand_dims(g, axis)
         x._accumulate(full)
+
+    return _make(out_data, (x,), bw)
+
+
+def mean_softplus(x: Tensor) -> Tensor:
+    """mean log(1 + e^x) over every entry, exact at any x: the GAN loss term
+    -log sigmoid(-x), with no floor. Its derivative is sigmoid(x) / n."""
+    n = x.data.size
+    out_data = np.logaddexp(0.0, x.data).sum() / n
+
+    def bw(g):
+        x._accumulate(g * _sigmoid(x.data) / n)
 
     return _make(out_data, (x,), bw)
 

@@ -55,12 +55,6 @@ def _build_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> str:
-    root = cfg.output_root
-    os.makedirs(root, exist_ok=True)
-    return root
-
-
 def _check_range(args, *names) -> None:
     """Reject a negative or non-finite value of each named flag, naming it."""
     for name in names:
@@ -100,7 +94,8 @@ def _train_and_write(cfg: ExperimentConfig) -> harness.RunRecord:
     """Train one configuration; write checkpoint.bin, metrics.csv and
     summary.json into its output directory."""
     ckpt, record = harness.train(cfg)
-    out = _out_dir(cfg)
+    out = cfg.output_root
+    os.makedirs(out, exist_ok=True)
     ckpt_path = os.path.join(out, "checkpoint.bin")
     ckpt_io.save_checkpoint(ckpt_path, ckpt)
     record.write_csv(os.path.join(out, "metrics.csv"))
@@ -161,16 +156,18 @@ def cmd_sweep(args) -> int:
     cfg = _build_config(args)
     grid1 = [float(x) for x in args.lambda1_grid.split(",")]
     grid2 = [float(x) for x in args.lambda2_grid.split(",")]
-    root = _out_dir(cfg)
+    root = cfg.output_root
+    grid = [replace(cfg, lambda1=l1, lambda2=l2,
+                    out_dir=os.path.join(root, f"l1_{l1}_l2_{l2}"))
+            for l1 in grid1 for l2 in grid2]
+    for point in grid:          # the whole grid is checked before any run
+        point.validate()
     results = []
-    for l1 in grid1:
-        for l2 in grid2:
-            record = _train_and_write(replace(
-                cfg, lambda1=l1, lambda2=l2,
-                out_dir=os.path.join(root, f"l1_{l1}_l2_{l2}")))
-            results.append((l1, l2, record.summary["best_val_metric"]))
-            print(f"lambda1={l1} lambda2={l2} "
-                  f"best_val={record.summary['best_val_metric']:.4f}")
+    for point in grid:
+        record = _train_and_write(point)
+        results.append((point.lambda1, point.lambda2, record.summary["best_val_metric"]))
+        print(f"lambda1={point.lambda1} lambda2={point.lambda2} "
+              f"best_val={record.summary['best_val_metric']:.4f}")
     sweep_csv = os.path.join(root, "sweep.csv")
     with open(sweep_csv, "w", encoding="utf-8") as fh:
         fh.write("lambda1,lambda2,best_val_metric\n")

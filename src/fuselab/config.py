@@ -10,6 +10,9 @@ VALID_TASKS = ("classification", "translation")
 VALID_FUSIONS = ("concat", "auto", "gan")
 MODALITY_ALIASES = {"v": "video", "s": "speech", "t": "text",
                     "video": "video", "speech": "speech", "text": "text"}
+# Far above the generators' targets (at most 11 tokens); decode buffers are
+# batch x max_decode_len, so an unbounded value exhausts memory at validation.
+MAX_DECODE_LEN = 1024
 
 
 class ConfigError(Exception):
@@ -71,8 +74,9 @@ class ExperimentConfig:
             raise ConfigError(f"d_noise must be >= 0, got {self.d_noise}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.max_decode_len < 1:
-            raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
+        if not 1 <= self.max_decode_len <= MAX_DECODE_LEN:
+            raise ConfigError(f"max_decode_len must be >= 1 and <= {MAX_DECODE_LEN}, "
+                              f"got {self.max_decode_len}")
         if self.fusion == "gan" and len(self.modalities) < 2:
             raise ConfigError("fusion=gan requires at least 2 modalities")
         if self.task == "translation" and "text" not in self.modalities:

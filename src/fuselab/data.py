@@ -15,9 +15,6 @@ from .vocab import UNK
 
 SCHEMA_HEADER = "#schema=fuselab-v1"
 
-DEFAULT_SPEECH_DIM = 32
-DEFAULT_VIDEO_DIM = 48
-
 
 class SchemaError(Exception):
     """Dataset file does not carry the expected schema header or framing."""
@@ -41,14 +38,13 @@ def _sample_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
 
 # -- interaction (XOR) classification dataset --------------------------------
 
+INTERACTION_SPEECH_DIM = 32
+INTERACTION_VIDEO_DIM = 48
 _FILLER = ["the", "sample", "shows", "a", "typical", "recording", "of",
            "routine", "daily", "activity", "nothing", "special", "here"]
 
 
-def gen_interaction_dataset(n: int, seed: int,
-                            speech_dim: int = DEFAULT_SPEECH_DIM,
-                            video_dim: int = DEFAULT_VIDEO_DIM,
-                            noise: float = 0.3) -> list[RawSample]:
+def gen_interaction_dataset(n: int, seed: int, noise: float = 0.3) -> list[RawSample]:
     """4-class task: label = 2*d + (a xor b).
 
     Speech features prototype-encode (a, d) and video features (b, d), so a
@@ -58,16 +54,16 @@ def gen_interaction_dataset(n: int, seed: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     proto_rng = _sample_rng(seed, 0, stream=1)
-    speech_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, speech_dim))
-    video_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, video_dim))
+    speech_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, INTERACTION_SPEECH_DIM))
+    video_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, INTERACTION_VIDEO_DIM))
 
     samples = []
     for i in range(n):
         rng = _sample_rng(seed, i)
         a, b, d = rng.integers(0, 2, size=3)
         label = int(2 * d + (a ^ b))
-        speech = speech_protos[a, d] + rng.normal(0.0, noise, size=speech_dim)
-        video = video_protos[b, d] + rng.normal(0.0, noise, size=video_dim)
+        speech = speech_protos[a, d] + rng.normal(0.0, noise, size=INTERACTION_SPEECH_DIM)
+        video = video_protos[b, d] + rng.normal(0.0, noise, size=INTERACTION_VIDEO_DIM)
         length = int(rng.integers(4, 9))
         text = [str(t) for t in rng.choice(_FILLER, size=length)]
         samples.append(RawSample(topic=int(d * 4 + a * 2 + b), label=label,
@@ -79,12 +75,12 @@ def gen_interaction_dataset(n: int, seed: int,
 
 TRANSLATION_SPEECH_DIM = 16
 TRANSLATION_VIDEO_DIM = 24
+TRANSLATION_MIN_LEN, TRANSLATION_MAX_LEN = 4, 10     # source tokens per sentence
 
 
 def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
                         ambiguity_rate: float = 0.0, topic_skew: float = 0.75,
-                        noise: float = 0.3, min_len: int = 4, max_len: int = 10
-                        ) -> list[RawSample]:
+                        noise: float = 0.3) -> list[RawSample]:
     """Parallel corpus with a deterministic token map plus one local reorder.
 
     Source types split into regular tokens (translated one-to-one) and
@@ -118,7 +114,7 @@ def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
     for i in range(n):
         rng = _sample_rng(seed, i)
         topic = int(rng.integers(0, 2))
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(TRANSLATION_MIN_LEN, TRANSLATION_MAX_LEN + 1))
         src: list[str] = []
         for _ in range(length):
             if n_homo and rng.random() < ambiguity_rate:

@@ -2,8 +2,9 @@
 
 Each module pushes its generator output z_g (target latent + noise) toward
 z_tr, the autofused complement of the remaining modalities; a per-module
-discriminator tells the two apart. Generator outputs are concatenated and
-projected to the fused representation.
+discriminator tells the two apart. The discriminator returns a logit, so each
+adversarial loss term is one exact softplus node, at any logit. Generator
+outputs are concatenated and projected to the fused representation.
 """
 
 from __future__ import annotations
@@ -16,56 +17,11 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .autofusion import AutoFusionNet, FusionOutput
 from .encoders import MODALITIES, LatentBundle
-from .layers import Affine, Module
-
-LOG_CLAMP = 1e-12
+from .layers import MLP, Affine, Module
 
 
 class FusionUnavailableError(Exception):
     """GAN-Fusion needs a complementary modality; caller should fall back."""
-
-
-def clamped_log(x: Tensor, floor: float = LOG_CLAMP) -> Tensor:
-    """log(max(x, floor)); gradient flows only through unclamped entries."""
-    clipped = np.maximum(x.data, floor)
-    out_data = np.log(clipped)
-    live = (x.data >= floor).astype(np.float64)
-
-    def bw(g):
-        x._accumulate(g * live / clipped)
-
-    return ad._make(out_data, (x,), bw)
-
-
-class Generator(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
-        super().__init__()
-        self.fc1 = self.add_child("fc1", Affine(d_in, d_out, rng))
-        self.fc2 = self.add_child("fc2", Affine(d_out, d_out, rng))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(ad.leaky_relu(self.fc1(x), alpha=0.2))
-
-
-class Discriminator(Module):
-    def __init__(self, d_in: int, hidden: int, rng: np.random.Generator):
-        super().__init__()
-        self.fc1 = self.add_child("fc1", Affine(d_in, hidden, rng))
-        self.fc2 = self.add_child("fc2", Affine(hidden, 1, rng))
-
-    def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        """Probability the input came from the autofused complement.
-
-        With frozen=True the parameters are detached, so backward reaches the
-        input (and the generator behind it) but never the discriminator.
-        """
-        if frozen:
-            w1, b1 = self.fc1.W.detach(), self.fc1.b.detach()
-            w2, b2 = self.fc2.W.detach(), self.fc2.b.detach()
-        else:
-            w1, b1, w2, b2 = self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b
-        h = ad.leaky_relu(ad.affine(x, w1, b1), alpha=0.2)
-        return ad.sigmoid(ad.affine(h, w2, b2))
 
 
 @dataclass
@@ -93,10 +49,9 @@ class GanFusionModule(Module):
         self.noise_sigma = noise_sigma
         self.saturating = saturating
         self.complement_names = [n for n, _ in complements]
-        self.generator = self.add_child(
-            "generator", Generator(d_target + d_noise, d_r, rng))
-        self.discriminator = self.add_child(
-            "discriminator", Discriminator(d_r, d_disc_hidden, rng))
+        self.generator = self.add_child("generator", MLP(d_target + d_noise, d_r, d_r, rng))
+        # the discriminator scores a logit: > 0 reads as "came from z_tr"
+        self.discriminator = self.add_child("discriminator", MLP(d_r, d_disc_hidden, 1, rng))
         comp_dims = [d for _, d in complements]
         self.inner: AutoFusionNet | None = None
         # A lone complement of width d_r is z_tr as it is; any other is autofused,
@@ -127,24 +82,25 @@ class GanFusionModule(Module):
         return ModuleForward(self.target, z_g, z_tr, inner_loss)
 
     def discriminator_loss(self, z_tr: Tensor, z_g: Tensor) -> Tensor:
-        """-[mean log D(z_tr) + mean log(1 - D(z_g))]; inputs are detached."""
+        """-[mean log D(z_tr) + mean log(1 - D(z_g))] for D = sigmoid(logit),
+        written as softplus(-logit) and softplus(logit); inputs are detached."""
         d_real = self.discriminator(z_tr.detach())
         d_fake = self.discriminator(z_g.detach())
-        return -(ad.mean(clamped_log(d_real)) + ad.mean(clamped_log(Tensor(1.0) - d_fake)))
+        return ad.mean_softplus(-d_real) + ad.mean_softplus(d_fake)
 
     def generator_loss(self, z_g: Tensor) -> Tensor:
         """Non-saturating -mean log D(z_g) by default; the literal minimax
         mean log(1 - D(z_g)) when the module was built saturating."""
         d_fake = self.discriminator(z_g, frozen=True)
         if self.saturating:
-            return ad.mean(clamped_log(Tensor(1.0) - d_fake))
-        return -ad.mean(clamped_log(d_fake))
+            return -ad.mean_softplus(d_fake)
+        return ad.mean_softplus(-d_fake)
 
     def discriminator_accuracy(self, z_tr: Tensor, z_g: Tensor) -> float:
         """Share of z_tr scored real and z_g scored fake; builds no graph."""
         d_real = self.discriminator(z_tr.detach(), frozen=True).data
         d_fake = self.discriminator(z_g.detach(), frozen=True).data
-        return float(((d_real > 0.5).sum() + (d_fake <= 0.5).sum())
+        return float(((d_real > 0.0).sum() + (d_fake <= 0.0).sum())
                      / (d_real.size + d_fake.size))
 
 

@@ -11,7 +11,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .autofusion import AutoFusionNet
 from .encoders import LatentBundle
-from .ganfusion import GanFusionModule, clamped_log
+from .ganfusion import GanFusionModule
 from .heads import AttentiveDecoder
 from .layers import Affine, LSTMCell
 from .vocab import EOS, PAD
@@ -111,9 +111,8 @@ def gradcheck_cases():
     def build_mean(rng):
         return (lambda ts: ad.mean(sq(ts[0])), [t(rng, 3, 4)])
 
-    def build_clamped_log(rng):
-        return (lambda ts: ad.sum(clamped_log(ts[0])),
-                [t(rng, 3, 4, lo=0.1, hi=1.0)])
+    def build_mean_softplus(rng):
+        return (lambda ts: ad.mean_softplus(ts[0]), [t(rng, 3, 4, lo=-5.0, hi=5.0)])
 
     def build_affine(rng):
         layer = Affine(3, 2, rng)
@@ -199,10 +198,9 @@ def gradcheck_cases():
 
     return [
         ("add", build_add), ("sub", build_sub), ("mul", build_mul),
-        ("tanh", elementwise(ad.tanh)), ("sigmoid", elementwise(ad.sigmoid)),
-        ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
+        ("tanh", elementwise(ad.tanh)), ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
         ("concat", build_concat), ("narrow", build_narrow), ("reshape", build_reshape),
-        ("sum", build_sum_axis), ("mean", build_mean), ("clamped_log", build_clamped_log),
+        ("sum", build_sum_axis), ("mean", build_mean), ("mean_softplus", build_mean_softplus),
         ("affine", build_affine), ("lstm_step", build_lstm_step),
         ("lstm_sequence", build_lstm_sequence),
         ("attention_readout", build_attention_readout),

@@ -6,33 +6,31 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError, Tensor
-from .layers import (Affine, Embedding, LSTMCell, Module, multiclass_hinge,
+from .layers import (MLP, Affine, Embedding, LSTMCell, Module, multiclass_hinge,
                      softmax_cross_entropy)
 from .vocab import EOS, PAD, SOS
 
 
-class ClassifierHead(Module):
-    """affine -> LeakyReLU -> affine producing class logits, trained with
-    cross-entropy or, with loss="hinge", the multiclass hinge loss."""
+class ClassifierHead(MLP):
+    """An MLP producing class logits, trained with cross-entropy or, with
+    loss="hinge", the multiclass hinge loss."""
 
     LOSSES = {"cross_entropy": softmax_cross_entropy, "hinge": multiclass_hinge}
 
     def __init__(self, d_fuse: int, hidden: int, n_classes: int,
                  rng: np.random.Generator, loss: str = "cross_entropy"):
-        super().__init__()
         if loss not in self.LOSSES:
             raise ValueError(f"unknown classification loss {loss!r}")
+        super().__init__(d_fuse, hidden, n_classes, rng)
         self._loss = self.LOSSES[loss]
         self.d_fuse = d_fuse
         self.n_classes = n_classes
-        self.fc1 = self.add_child("fc1", Affine(d_fuse, hidden, rng))
-        self.fc2 = self.add_child("fc2", Affine(hidden, n_classes, rng))
 
     def __call__(self, z_fuse: Tensor) -> Tensor:
         if z_fuse.shape[1] != self.d_fuse:
             raise DimensionError(
                 f"classifier expects width {self.d_fuse}, got {z_fuse.shape[1]}")
-        return self.fc2(ad.leaky_relu(self.fc1(z_fuse), alpha=0.2))
+        return super().__call__(z_fuse)
 
     def loss(self, logits: Tensor, labels: np.ndarray) -> Tensor:
         return self._loss(logits, labels)

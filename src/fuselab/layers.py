@@ -62,6 +62,23 @@ class Affine(Module):
         return ad.affine(x, self.W, self.b)
 
 
+class MLP(Module):
+    """affine -> LeakyReLU(0.2) -> affine: GAN-Fusion's generator and
+    discriminator, and the classifier head."""
+
+    def __init__(self, d_in: int, hidden: int, d_out: int, rng: np.random.Generator):
+        super().__init__()
+        self.fc1 = self.add_child("fc1", Affine(d_in, hidden, rng))
+        self.fc2 = self.add_child("fc2", Affine(hidden, d_out, rng))
+
+    def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
+        """With frozen=True the parameters are detached, so backward reaches
+        x (and whatever produced it) but never this network's parameters."""
+        params = (self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b)
+        w1, b1, w2, b2 = (p.detach() for p in params) if frozen else params
+        return ad.affine(ad.leaky_relu(ad.affine(x, w1, b1), alpha=0.2), w2, b2)
+
+
 class Embedding(Module):
     """Token-id lookup table; backward scatter-adds into the table."""
 

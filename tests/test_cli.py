@@ -130,6 +130,8 @@ def test_invalid_config_exit_code_1(workdir):
     ("--lambda1", "inf", "lambda1"),
     ("--lambda2", "nan", "lambda2"),
     ("--max-decode-len", "0", "max_decode_len"),
+    ("--max-decode-len", "1025", "max_decode_len"),
+    ("--max-decode-len", "10000000000000", "max_decode_len"),
     ("--patience", "0", "patience"),
     ("--seed", "-1", "seed"),
 ])
@@ -351,6 +353,21 @@ def test_checkpoint_with_width_key_exit_code_1(misfit_paths, tmp_path, capsys):
     assert capsys.readouterr().err == "config error: unknown config key 'text_embed'\n"
 
 
+def test_checkpoint_with_huge_max_decode_len_exit_code_1(misfit_paths, tmp_path, capsys):
+    """A config block edited past the decode-length cap fails before the
+    model is built, not at the decoder's (batch, max_len) buffer."""
+    ckpt = load_checkpoint(misfit_paths["ckpt"])
+    edited = ckpt.config_text.replace("max_decode_len = 16", "max_decode_len = 10000000000000")
+    assert edited != ckpt.config_text
+    ckpt.config_text = edited
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, ckpt)
+    rc = main(["eval", "--checkpoint", str(bad), "--dataset", misfit_paths["mt_val"]])
+    assert rc == 1
+    assert capsys.readouterr().err == ("config error: max_decode_len must be >= 1 and "
+                                       "<= 1024, got 10000000000000\n")
+
+
 def _edit_data_block(text, edit):
     head, _, block = text.partition("[data]\n")
     return head + "[data]\n" + edit(block)
@@ -512,3 +529,14 @@ def test_readme_config_example_parses():
     for block in examples:
         assert {ln.split(" = ", 1)[0] for ln in block} <= names
         parse_config_text("\n".join(block)).validate()
+
+
+def test_sweep_checks_whole_grid_before_training(workdir, tmp_path, capsys):
+    run = tmp_path / "sweep"
+    rc = main(["sweep", "--task", "translation", "--fusion", "auto", "--epochs", "1",
+               "--train-path", str(workdir / "dsets" / "train.tsv"),
+               "--val-path", str(workdir / "dsets" / "val.tsv"),
+               "--out-dir", str(run), "--lambda1-grid", "0.5,-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: lambda1 must be finite and >= 0, got -1.0\n"
+    assert not run.exists()

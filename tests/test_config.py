@@ -83,6 +83,9 @@ def test_parse_missing_equals_rejected():
     "epochs = 0",
     "patience = 0",
     "seed = -1",
+    "max_decode_len = 0",
+    "max_decode_len = 1025",
+    "max_decode_len = 10000000000000",
 ])
 def test_invariant_violations(text):
     cfg = parse_config_text(text + "\n")

@@ -7,8 +7,7 @@ from fuselab import autodiff as ad
 from fuselab import layers
 from fuselab.autodiff import Tensor
 from fuselab.encoders import LatentBundle
-from fuselab.ganfusion import (FusionUnavailableError, GanFusionModule,
-                               GanFusionStack, clamped_log)
+from fuselab.ganfusion import FusionUnavailableError, GanFusionStack
 from fuselab.gradcheck import check_gradients
 
 
@@ -142,12 +141,32 @@ def test_generator_loss_values(rng):
         assert mod.generator_loss(z_g).item() == pytest.approx(want, abs=1e-12)
 
 
-def test_clamped_log_floor():
-    x = Tensor(np.array([0.0, 1.0]), requires_grad=True)
-    out = clamped_log(x)
-    assert out.data[0] == pytest.approx(math.log(1e-12))
-    ad.sum(out).backward()
-    assert x.grad[0] == 0.0 and x.grad[1] == 1.0
+def test_mean_softplus_exact_at_extreme_logits():
+    """log(1 + e^x) is x at x = 800 and 0 at x = -800, where e^800
+    overflows; the gradient sigmoid(x) / n is 1/2 and 0, with no floor."""
+    x = Tensor(np.array([800.0, -800.0]), requires_grad=True)
+    out = ad.mean_softplus(x)
+    assert out.item() == 400.0
+    out.backward()
+    assert x.grad.tolist() == [0.5, 0.0]
+
+
+def test_generator_gets_gradient_from_confident_discriminator(rng):
+    """A discriminator sure that z_g is fake (logit -39.5, D = 7e-18) is the
+    regime the non-saturating loss exists for: -log D(z_g) = log(1 + e^39.5)
+    exactly, and each row of z_g gets -sigmoid(39.5) / 4, not a floored 0."""
+    stack = make_stack(rng, {"speech": 4, "text": 5})
+    d = stack.modules["text"].discriminator
+    for p in d.parameters().values():
+        p.data[...] = 0.0
+    d.fc1.W.data[0, 0] = d.fc2.W.data[0, 0] = 1.0     # logit = z_g[:, 0] - 40
+    d.fc2.b.data[...] = -40.0
+    z_g = Tensor(np.full((4, 6), 0.5), requires_grad=True)
+    loss = stack.modules["text"].generator_loss(z_g)
+    assert loss.item() == pytest.approx(39.5, rel=1e-15)
+    loss.backward()
+    np.testing.assert_allclose(z_g.grad[:, 0], -0.25, rtol=1e-15)
+    assert not z_g.grad[:, 1:].any()
 
 
 def test_discriminator_loss_gradient_isolation(rng):
@@ -241,7 +260,7 @@ def test_discriminator_accuracy_builds_no_graph(rng, monkeypatch):
     fwd = mod.gan_forward(make_bundle(rng, {"speech": 3, "text": 4}), rng)
     d_real = mod.discriminator(fwd.z_tr).data
     d_fake = mod.discriminator(fwd.z_g).data
-    expect = float(((d_real > 0.5).sum() + (d_fake <= 0.5).sum()) / 8)
+    expect = float(((d_real > 0.0).sum() + (d_fake <= 0.0).sum()) / 8)
     tracked = []
     make = ad._make
 

@@ -5,9 +5,10 @@ node and batch the per-step math over all steps, so the graph they build does
 not grow with the sequence length; a change that adds per-step work fails
 here. Greedy decoding runs on arrays and builds no node at all. An affine
 layer is one node, bias add included, and so are the decoder's attention and
-output layer, so a GAN-Fusion step builds a fixed number of nodes; a layer
-split back into several fails here. Every public graph op is built by some
-model's training step, so an op no model runs fails here.
+output layer, and so is each adversarial loss term on a discriminator logit,
+so a GAN-Fusion step builds a fixed number of nodes; a layer split back into
+several fails here. Every public graph op is built by some model's training
+step, so an op no model runs fails here.
 """
 
 import inspect
@@ -117,15 +118,16 @@ XOR_GAN = dict(task="classification", fusion="gan", modalities=("video", "speech
 def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
     losses = one_step_losses(tmp_path, monkeypatch,
                              data_mod.gen_interaction_dataset(12, seed=3, noise=0.3), **XOR_GAN)
-    assert [len(graph(loss)) for loss in losses] == [39, 56]   # d_loss, then j_total
+    assert [len(graph(loss)) for loss in losses] == [29, 52]   # d_loss, then j_total
 
 
 def test_translation_gan_step_nodes(tmp_path, monkeypatch):
     """Trimodal translation GAN: the decoder's attention and output layer
-    are one node, so the whole step builds 59 + 127 nodes."""
+    are one node, and each adversarial loss term one softplus node, so the
+    whole step builds 44 + 121 nodes."""
     losses = one_step_losses(tmp_path, monkeypatch, data_mod.gen_toy_translation(12, seed=3),
                              task="translation", fusion="gan")
-    assert [len(graph(loss)) for loss in losses] == [59, 127]  # d_loss, then j_total
+    assert [len(graph(loss)) for loss in losses] == [44, 121]  # d_loss, then j_total
 
 
 def test_every_graph_op_runs_in_a_model(tmp_path, monkeypatch):

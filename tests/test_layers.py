@@ -82,7 +82,9 @@ def _lstm_composite(cell, x, h, c):
     for t in range(L):
         x_t = ad.reshape(ad.narrow(x, 1, t, 1), (b, d))
         gates = ad.affine(x_t, cell.W, cell.b) + ad.affine(h, cell.U, Tensor(np.zeros(4 * hd)))
-        i, f, o = (ad.sigmoid(ad.narrow(gates, 1, k * hd, hd)) for k in range(3))
+        # sigmoid(a) = (1 + tanh(a/2)) / 2
+        i, f, o = ((ad.tanh(ad.narrow(gates, 1, k * hd, hd) * Tensor(0.5)) + Tensor(1.0))
+                   * Tensor(0.5) for k in range(3))
         g = ad.tanh(ad.narrow(gates, 1, 3 * hd, hd))
         c = f * c + i * g
         h = o * ad.tanh(c)
@@ -324,8 +326,8 @@ def reference_adam_step(params, state):
 def test_flat_adam_matches_per_tensor_loop_bytewise(rng):
     cfg = ExperimentConfig(task="classification", fusion="gan",
                            modalities=("video", "speech"))
-    info = harness.DataInfo(n_classes=4, speech_dim=data_mod.DEFAULT_SPEECH_DIM,
-                            video_dim=data_mod.DEFAULT_VIDEO_DIM)
+    info = harness.DataInfo(n_classes=4, speech_dim=data_mod.INTERACTION_SPEECH_DIM,
+                            video_dim=data_mod.INTERACTION_VIDEO_DIM)
     model = harness.FusionModel(cfg, info, np.random.default_rng(3))
     signed = Tensor(rng.normal(size=3), requires_grad=True)
     groups = [dict(model.non_discriminator_parameters(), signed_zero=signed),
