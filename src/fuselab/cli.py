@@ -80,10 +80,14 @@ def cmd_gen_data(args) -> int:
             args.n, args.seed, noise=args.noise,
             topic_skew=0.6,     # the skew the criteria and the benchmark draw with
             **given)
-    train, val, test = data_mod.split_dataset(samples)
+    splits = dict(zip(("train", "val", "test"), data_mod.split_dataset(samples)))
+    for name, part in splits.items():
+        if not part:
+            raise ConfigError(f"--n {args.n} leaves the {name} split empty; "
+                              "gen-data needs --n >= 10")
     out = args.out or os.environ.get("FUSELAB_OUT", ".")
     os.makedirs(out, exist_ok=True)
-    for name, part in (("train", train), ("val", val), ("test", test)):
+    for name, part in splits.items():
         path = os.path.join(out, f"{args.prefix}{name}.tsv")
         data_mod.write_dataset(path, part)
         print(f"wrote {len(part)} samples to {path}")

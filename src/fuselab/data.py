@@ -7,6 +7,7 @@ tokens are only resolvable through the speech/video topic signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ def _sample_rng(seed: int, index: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, stream, index])
 
 
+def _check_noise(noise: float) -> None:
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+
+
 # -- interaction (XOR) classification dataset --------------------------------
 
 INTERACTION_SPEECH_DIM = 32
@@ -53,6 +59,7 @@ def gen_interaction_dataset(n: int, seed: int, noise: float = 0.3) -> list[RawSa
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_noise(noise)
     proto_rng = _sample_rng(seed, 0, stream=1)
     speech_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, INTERACTION_SPEECH_DIM))
     video_protos = proto_rng.normal(0.0, 1.0, size=(2, 2, INTERACTION_VIDEO_DIM))
@@ -60,12 +67,13 @@ def gen_interaction_dataset(n: int, seed: int, noise: float = 0.3) -> list[RawSa
     samples = []
     for i in range(n):
         rng = _sample_rng(seed, i)
-        a, b, d = rng.integers(0, 2, size=3)
+        a, b, d = rng.integers(0, 2, size=3).tolist()
         label = int(2 * d + (a ^ b))
         speech = speech_protos[a, d] + rng.normal(0.0, noise, size=INTERACTION_SPEECH_DIM)
         video = video_protos[b, d] + rng.normal(0.0, noise, size=INTERACTION_VIDEO_DIM)
         length = int(rng.integers(4, 9))
-        text = [str(t) for t in rng.choice(_FILLER, size=length)]
+        # the draw Generator.choice makes, without its list-to-array copy
+        text = [_FILLER[j] for j in rng.integers(0, len(_FILLER), size=length)]
         samples.append(RawSample(topic=int(d * 4 + a * 2 + b), label=label,
                                  text_tokens=text, speech=speech, video=video))
     return samples
@@ -99,6 +107,7 @@ def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
         raise ValueError("ambiguity_rate must lie in [0, 1]")
     if not 0.0 <= topic_skew <= 1.0:
         raise ValueError("topic_skew must lie in [0, 1]")
+    _check_noise(noise)
 
     n_homo = max(1, vocab_size // 4) if ambiguity_rate > 0 else 0
     homographs = [f"s{j:02d}" for j in range(n_homo)]
@@ -117,12 +126,14 @@ def gen_toy_translation(n: int, seed: int, vocab_size: int = 24,
         length = int(rng.integers(TRANSLATION_MIN_LEN, TRANSLATION_MAX_LEN + 1))
         src: list[str] = []
         for _ in range(length):
+            # each draw is the one Generator.choice(pool) makes, taken by index
             if n_homo and rng.random() < ambiguity_rate:
-                src.append(str(rng.choice(homographs)))
+                pool = homographs
             elif rng.random() < topic_skew:
-                src.append(str(rng.choice(topic_pool[topic])))
+                pool = topic_pool[topic]
             else:
-                src.append(str(rng.choice(topic_pool[1 - topic])))
+                pool = topic_pool[1 - topic]
+            src.append(pool[rng.integers(0, len(pool))])
         tgt = reference_translation(src, topic, n_homo)
         speech = speech_protos[topic] + rng.normal(0.0, noise, size=TRANSLATION_SPEECH_DIM)
         video = video_protos[topic] + rng.normal(0.0, noise, size=TRANSLATION_VIDEO_DIM)
@@ -156,26 +167,72 @@ def apply_word_drop(token_ids: list[int], p: float,
 
 # -- on-disk format ----------------------------------------------------------
 
-def _fmt_floats(v: np.ndarray | None) -> str:
+def _fmt_count(value, field: str) -> str:
+    """A topic id or class label, written as ASCII digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{field}: {value!r} is not an integer >= 0")
+    return str(value)
+
+
+def _fmt_tokens(tokens: list[str], field: str) -> str:
+    line = " ".join(tokens)
+    if not tokens or line.split() != tokens:
+        raise ValueError(f"{field}: tokens must form a non-empty list, "
+                         "none of them empty or holding whitespace")
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{field}: {line[exc.start]!r} is not encodable "
+                             "as UTF-8") from None
+    return line
+
+
+def _fmt_floats(v: np.ndarray | None, field: str, widths: dict[str, int]) -> str:
+    """Comma-separated reprs, which read back bit-exact."""
     if v is None:
         return ""
-    return ",".join(repr(float(x)) for x in v)
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"{field}: vector of shape {v.shape} is not one-dimensional "
+                         "and non-empty")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{field}: non-finite value in vector")
+    width = widths.setdefault(field, v.size)
+    if v.size != width:
+        raise ValueError(f"{field}: vector has {v.size} values, earlier samples have {width}")
+    return ",".join(map(repr, v.tolist()))
+
+
+def _fmt_row(s: RawSample, widths: dict[str, int]) -> str:
+    if s.label is not None:
+        if s.target_tokens is not None:
+            raise ValueError("target: a sample with a class label cannot also have a target")
+        label_or_target = _fmt_count(s.label, "label")
+    elif s.target_tokens is not None:
+        label_or_target = _fmt_tokens(s.target_tokens, "target")
+        if label_or_target.isdigit():
+            raise ValueError(f"target: {label_or_target!r} would be read as a class label")
+    else:
+        raise ValueError("label: sample has neither a class label nor a target")
+    text = "" if s.text_tokens is None else _fmt_tokens(s.text_tokens, "text")
+    return "\t".join((_fmt_count(s.topic, "topic"), label_or_target, text,
+                      _fmt_floats(s.speech, "speech", widths),
+                      _fmt_floats(s.video, "video", widths)))
 
 
 def write_dataset(path, samples: list[RawSample]) -> None:
+    """Write samples in the fuselab-v1 format. Every sample is checked before
+    the file is opened: one that `read_dataset` would not return unchanged
+    raises ValueError naming its index and field, and no file is written."""
+    widths: dict[str, int] = {}
+    lines = [SCHEMA_HEADER]
+    for i, s in enumerate(samples):
+        try:
+            lines.append(_fmt_row(s, widths))
+        except ValueError as exc:
+            raise ValueError(f"sample {i}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(SCHEMA_HEADER + "\n")
-        for s in samples:
-            if s.label is not None:
-                label_or_target = str(s.label)
-            elif s.target_tokens is not None:
-                label_or_target = " ".join(s.target_tokens)
-            else:
-                raise ValueError("sample has neither label nor target")
-            row = [str(s.topic), label_or_target,
-                   " ".join(s.text_tokens) if s.text_tokens else "",
-                   _fmt_floats(s.speech), _fmt_floats(s.video)]
-            fh.write("\t".join(row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str

@@ -70,6 +70,17 @@ def test_gen_data_rejects_n_below_one(tmp_path, capsys, kind):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["interaction", "translation"])
+def test_gen_data_refuses_an_empty_split(tmp_path, capsys, kind):
+    assert main(["gen-data", "--kind", kind, "--n", "9", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --n 9 leaves the val split empty; gen-data needs --n >= 10\n")
+    assert list(tmp_path.iterdir()) == []
+    assert main(["gen-data", "--kind", kind, "--n", "10", "--out", str(tmp_path)]) == 0
+    assert [len(read_dataset(tmp_path / f"{name}.tsv"))
+            for name in ("train", "val", "test")] == [8, 1, 1]
+
+
 def test_train_eval_ablate_pipeline(workdir):
     run = workdir / "run"
     rc = main(["train", "--task", "translation", "--fusion", "auto",

@@ -1,5 +1,8 @@
 import contextlib
+import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,16 @@ def test_interaction_text_is_label_free():
 def test_interaction_requires_positive_n():
     with pytest.raises(ValueError):
         gen_interaction_dataset(0, seed=0)
+
+
+@pytest.mark.parametrize("gen, kwargs", [
+    (gen_interaction_dataset, {}),
+    (gen_toy_translation, {"ambiguity_rate": 0.3}),
+])
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+def test_generator_rejects_bad_noise(gen, kwargs, noise):
+    with pytest.raises(ValueError, match=r"noise must be finite and >= 0, got"):
+        gen(10, seed=0, noise=noise, **kwargs)
 
 
 def test_translation_deterministic_mapping_when_unambiguous():
@@ -180,6 +193,97 @@ def test_dataset_roundtrip_translation(tmp_path):
         assert b.label is None
         assert a.target_tokens == b.target_tokens
         np.testing.assert_array_equal(a.video, b.video)
+
+
+# sha256 of write_dataset's bytes for the corpora the acceptance thresholds
+# were measured on: a changed draw, draw order or number format shows here
+@pytest.mark.parametrize("make, digest", [
+    (lambda: gen_toy_translation(300, seed=1, ambiguity_rate=0.3, topic_skew=0.6),
+     "72e01c825310ba98abc7d4d57adbafd3b923eddca78f45479167e3907df3b098"),
+    (lambda: gen_toy_translation(300, seed=2, ambiguity_rate=0.3, topic_skew=0.6),
+     "b82d19a56aba9adabebe7f53532265b2aa4f6c61c6c13a5fafe1c9be0aaa81b8"),
+    (lambda: gen_toy_translation(200, seed=3),
+     "dcb9e9454c69f93569a5c6cc8f8a11191588d9c91a59d656657b8bc3f4db610e"),
+    (lambda: gen_toy_translation(200, seed=4, vocab_size=40, ambiguity_rate=1.0),
+     "b6270b8a55cdf4764043f81a7b048a5d91c51d6b637723daa46cbe10d3d80ca5"),
+    (lambda: gen_interaction_dataset(500, seed=1),
+     "3ffbc8eb488f99130127d3e3387dd2367dbe6029f3f3c56fca39431556d35b3a"),
+    (lambda: gen_interaction_dataset(500, seed=42),
+     "da54a39bef700a02ad5eb5bbf265b534e12e60a49dc9fc9ac2e1946d295ffe44"),
+], ids=["translation-1", "translation-2", "translation-3", "translation-4",
+        "interaction-1", "interaction-42"])
+def test_golden_corpus_bytes(tmp_path, make, digest):
+    path = tmp_path / "corpus.tsv"
+    write_dataset(path, make())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _good_sample(**changes) -> RawSample:
+    fields = dict(topic=1, target_tokens=["t01", "t02"], text_tokens=["s02", "s01"],
+                  speech=np.array([0.5, -1.0]), video=np.array([2.0]))
+    fields.update(changes)
+    return RawSample(**fields)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"speech": np.array([0.5, np.nan])}, "speech: non-finite value"),
+    ({"video": np.array([np.inf])}, "video: non-finite value"),
+    ({"speech": np.zeros(0)}, r"speech: vector of shape \(0,\) is not"),
+    ({"video": np.zeros((1, 1))}, r"video: vector of shape \(1, 1\) is not"),
+    ({"speech": np.zeros(3)}, "speech: vector has 3 values, earlier samples have 2"),
+    ({"text_tokens": ["s01 s02"]}, "text: tokens must form"),
+    ({"text_tokens": ["s01\ts02"]}, "text: tokens must form"),
+    ({"text_tokens": []}, "text: tokens must form"),
+    ({"target_tokens": ["t01", ""]}, "target: tokens must form"),
+    ({"target_tokens": ["12"]}, "target: '12' would be read as a class label"),
+    ({"target_tokens": ["\u00b2"]}, "target: '\u00b2' would be read as a class label"),
+    ({"target_tokens": None}, "label: sample has neither"),
+    ({"label": 2}, "target: a sample with a class label cannot also have a target"),
+    ({"label": -1, "target_tokens": None}, "label: -1 is not an integer >= 0"),
+    ({"topic": True}, "topic: True is not an integer >= 0"),
+    ({"topic": -2}, "topic: -2 is not an integer >= 0"),
+    ({"text_tokens": ["caf\udce9"]}, r"text: '\\udce9' is not encodable as UTF-8"),
+])
+def test_write_dataset_refuses_what_reads_back_changed(tmp_path, changes, message):
+    path = tmp_path / "d.tsv"
+    samples = [_good_sample(), _good_sample(topic=0), _good_sample(**changes)]
+    with pytest.raises(ValueError, match=f"^sample 2: {message}"):
+        write_dataset(path, samples)
+    assert not path.exists()
+
+
+_TOKEN = st.one_of(st.sampled_from(["s01", "t02", "7", "12", "caf\u00e9"]),
+                   st.text(st.sampled_from("ab1\u00b2\u00e9 \t\n"), max_size=3))
+_TOKENS = st.one_of(st.none(), st.lists(_TOKEN, max_size=3))
+_VECTOR = st.one_of(st.none(), st.lists(st.floats(width=64), max_size=2).map(np.array))
+
+
+@st.composite
+def _raw_sample(draw) -> RawSample:
+    label = draw(st.one_of(st.none(), st.integers(-1, 12)))
+    target = (draw(st.lists(_TOKEN, max_size=3))
+              if label is None or draw(st.integers(0, 3)) == 0 else None)
+    return RawSample(topic=draw(st.integers(-1, 3)), label=label, target_tokens=target,
+                     text_tokens=draw(_TOKENS), speech=draw(_VECTOR), video=draw(_VECTOR))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_raw_sample(), max_size=3))
+def test_write_dataset_round_trips_or_refuses(samples):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "d.tsv"
+        try:
+            write_dataset(path, samples)
+        except ValueError:
+            assert not path.exists()
+            return
+        loaded = read_dataset(path)
+    assert len(loaded) == len(samples)
+    for a, b in zip(samples, loaded):
+        assert (a.topic, a.label, a.target_tokens, a.text_tokens) == (
+            b.topic, b.label, b.target_tokens, b.text_tokens)
+        for va, vb in ((a.speech, b.speech), (a.video, b.video)):
+            assert (va is None and vb is None) or va.tobytes() == vb.tobytes()
 
 
 def test_dataset_bad_header(tmp_path):
