@@ -284,14 +284,19 @@ def sum(x: Tensor, axis: int | None = None) -> Tensor:  # noqa: A001 - mirrors n
     return _make(out_data, (x,), bw)
 
 
-def mean_softplus(x: Tensor) -> Tensor:
-    """mean log(1 + e^x) over every entry, exact at any x: the GAN loss term
-    -log sigmoid(-x), with no floor. Its derivative is sigmoid(x) / n."""
+def mean_softplus(x: Tensor, sign: float = 1.0) -> Tensor:
+    """mean log(1 + e^(sign x)) over every entry, exact at any x: the GAN
+    loss term -log sigmoid(-sign x), with no floor. sign is 1 or -1; its
+    derivative is sign sigmoid(sign x) / n."""
+    if sign not in (1.0, -1.0):
+        raise ValueError(f"mean_softplus sign must be 1 or -1, got {sign}")
     n = x.data.size
-    out_data = np.logaddexp(0.0, x.data).sum() / n
+    sx = x.data if sign == 1.0 else -x.data
+    out_data = np.logaddexp(0.0, sx).sum() / n
 
     def bw(g):
-        x._accumulate(g * _sigmoid(x.data) / n)
+        gx = g * _sigmoid(sx) / n
+        x._accumulate(gx if sign == 1.0 else -gx)
 
     return _make(out_data, (x,), bw)
 

@@ -21,7 +21,8 @@ VERSION = 1
 
 
 class CheckpointError(Exception):
-    """Bad magic, unsupported version, truncation, or name collision."""
+    """Bad magic, unsupported version, truncation, trailing bytes, text that
+    is not UTF-8, a shape numpy cannot hold, or a name collision."""
 
 
 @dataclass
@@ -58,7 +59,7 @@ def _read_block(fh, file_size: int) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-        name = _read_exact(fh, name_len).decode("utf-8")
+        name = _decode(_read_exact(fh, name_len), "tensor name")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         (rank,) = struct.unpack("<B", _read_exact(fh, 1))
@@ -71,8 +72,18 @@ def _read_block(fh, file_size: int) -> dict[str, np.ndarray]:
                 f"truncated checkpoint file: tensor {name!r} of shape {shape} "
                 f"needs {n_bytes} bytes, {left} remain")
         payload = _read_exact(fh, n_bytes)
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:      # rank above 64, or a size numpy cannot index
+            raise CheckpointError(f"tensor {name!r} of shape {str(shape):.60}: {exc}") from None
     return out
+
+
+def _decode(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -99,7 +110,10 @@ def load_checkpoint(path) -> Checkpoint:
         optimizer = _read_block(fh, size)
         rng = _read_block(fh, size)
         (text_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        text = _read_exact(fh, text_len).decode("utf-8")
+        text = _decode(_read_exact(fh, text_len), "config block")
+        if fh.tell() != size:
+            raise CheckpointError(
+                f"{size - fh.tell()} trailing bytes after the config block")
     return Checkpoint(tensors=tensors, optimizer=optimizer, rng=rng,
                       config_text=text)
 

@@ -242,7 +242,7 @@ def _parse_vector(raw: str, kind: str, widths: dict[str, int], where: str
     if not raw:
         return None
     try:
-        v = np.array([float(x) for x in raw.split(",")])
+        v = np.array(raw.split(","), dtype=np.float64)
     except ValueError as exc:
         raise SchemaError(f"{where}: {kind} vector: {exc}") from None
     width = widths.setdefault(kind, v.size)

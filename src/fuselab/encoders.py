@@ -50,10 +50,31 @@ class TextEncoder(Module):
         # The LSTM is causal: steps past a row's length never reach its earlier
         # states, so padding runs through the cell and is masked out afterwards.
         hc = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(b))
-        states = ad.narrow(hc, 2, 0, self.hidden) * Tensor(mask[:, :, None])
-        last = (np.arange(L)[None, :] == lengths[:, None] - 1).astype(np.float64)
-        z_t = ad.sum(states * Tensor(last[:, :, None]), axis=1)
-        return z_t, states, mask
+        states = self._masked_states(hc, mask)
+        return self._last_states(states, lengths), states, mask
+
+    def _masked_states(self, hc: Tensor, mask: np.ndarray) -> Tensor:
+        """The h half of the LSTM output (b, L, 2h), times the mask (b, L)."""
+        hd, m = self.hidden, mask[:, :, None]
+
+        def bw(g):
+            full = np.zeros_like(hc.data)
+            full[:, :, :hd] = g * m
+            hc._accumulate(full)
+
+        return ad._make(hc.data[:, :, :hd] * m, (hc,), bw)
+
+    @staticmethod
+    def _last_states(states: Tensor, lengths: np.ndarray) -> Tensor:
+        """Each row's state at its true length: (b, L, h) -> (b, h)."""
+        rows = (np.arange(len(lengths)), lengths - 1)
+
+        def bw(g):
+            full = np.zeros_like(states.data)
+            full[rows] = g
+            states._accumulate(full)
+
+        return ad._make(states.data[rows], (states,), bw)
 
 
 class VectorEncoder(Module):
@@ -74,9 +95,19 @@ class VectorEncoder(Module):
         self.norm_std[...] = np.where(std > 1e-12, std, 1.0)
 
     def __call__(self, features: np.ndarray) -> Tensor:
+        """One graph node whose parents are the affine map's weight and bias;
+        the standardised features are a constant."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.d_in:
             raise DimensionError(
                 f"expected (b, {self.d_in}) features, got {features.shape}")
-        x = Tensor((features - self.norm_mean) / self.norm_std)
-        return ad.tanh(self.proj(x))
+        x = (features - self.norm_mean) / self.norm_std
+        W, b = self.proj.W, self.proj.b
+        out = np.tanh(x @ W.data + b.data)
+
+        def bw(g):      # the chain rule of tanh, then of the affine map
+            g_pre = g * (1.0 - out * out)
+            W._accumulate(x.T @ g_pre)
+            b._accumulate(g_pre.sum(axis=0))
+
+        return ad._make(out, (W, b), bw)

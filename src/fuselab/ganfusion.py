@@ -86,7 +86,7 @@ class GanFusionModule(Module):
         written as softplus(-logit) and softplus(logit); inputs are detached."""
         d_real = self.discriminator(z_tr.detach())
         d_fake = self.discriminator(z_g.detach())
-        return ad.mean_softplus(-d_real) + ad.mean_softplus(d_fake)
+        return ad.mean_softplus(d_real, sign=-1.0) + ad.mean_softplus(d_fake)
 
     def generator_loss(self, z_g: Tensor) -> Tensor:
         """Non-saturating -mean log D(z_g) by default; the literal minimax
@@ -94,7 +94,7 @@ class GanFusionModule(Module):
         d_fake = self.discriminator(z_g, frozen=True)
         if self.saturating:
             return -ad.mean_softplus(d_fake)
-        return ad.mean_softplus(-d_fake)
+        return ad.mean_softplus(d_fake, sign=-1.0)
 
     def discriminator_accuracy(self, z_tr: Tensor, z_g: Tensor) -> float:
         """Share of z_tr scored real and z_g scored fake; builds no graph."""
@@ -147,10 +147,14 @@ class GanFusionStack(Module):
 
     def compose(self, forwards: list[ModuleForward]) -> FusionOutput:
         """The fused vector of the forwards' z_g, and J_fusion: the sum over
-        modules of the generator loss and the inner Auto-Fusion
-        reconstruction loss."""
+        modules of the generator loss and, for a module with an inner
+        Auto-Fusion, its reconstruction loss."""
         z_fuse = self.project({f.name: f.z_g for f in forwards})
-        terms = [self.modules[f.name].generator_loss(f.z_g) + f.inner_loss for f in forwards]
+        terms = []
+        for f in forwards:
+            module = self.modules[f.name]
+            term = module.generator_loss(f.z_g)
+            terms.append(term if module.inner is None else term + f.inner_loss)
         return FusionOutput(z_fuse=z_fuse, j_fusion=sum(terms[1:], terms[0]))
 
     def fuse(self, bundle: LatentBundle, rng: np.random.Generator | None) -> FusionOutput:

@@ -10,10 +10,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .autofusion import AutoFusionNet
-from .encoders import LatentBundle
+from .encoders import LatentBundle, TextEncoder, VectorEncoder
 from .ganfusion import GanFusionModule
 from .heads import AttentiveDecoder
-from .layers import Affine, LSTMCell
+from .layers import MLP, Affine, LSTMCell
 from .vocab import EOS, PAD
 
 
@@ -114,11 +114,45 @@ def gradcheck_cases():
     def build_mean_softplus(rng):
         return (lambda ts: ad.mean_softplus(ts[0]), [t(rng, 3, 4, lo=-5.0, hi=5.0)])
 
+    def build_mean_softplus_neg(rng):
+        return (lambda ts: ad.mean_softplus(ts[0], sign=-1.0),
+                [t(rng, 3, 4, lo=-5.0, hi=5.0)])
+
     def build_affine(rng):
         layer = Affine(3, 2, rng)
         x = t(rng, 4, 3)
         return (lambda ts: ad.sum(sq(ad.affine(ts[0], ts[1], ts[2]))),
                 [x, layer.W, layer.b])
+
+    def mlp(frozen):
+        def build(rng):
+            net = MLP(3, 4, 2, rng)
+            x = t(rng, 5, 3)
+
+            def fn(ts):
+                return ad.sum(sq(net(ts[0], frozen=frozen)))
+
+            # a frozen call's parameters get no gradient, so only x is checked
+            return (fn, [x] if frozen else [x, net.fc1.W, net.fc1.b, net.fc2.W, net.fc2.b])
+        return build
+
+    def build_vector_encoder(rng):
+        enc = VectorEncoder(3, 2, rng)
+        features = rng.normal(1.0, 2.0, size=(4, 3))
+        enc.fit_normalization(features)
+        return (lambda ts: ad.sum(sq(enc(features))), [enc.proj.W, enc.proj.b])
+
+    def build_text_encoder(rng):
+        enc = TextEncoder(6, 2, 2, rng)
+        ids = rng.integers(0, 6, size=(2, 3))
+        lengths = np.array([3, 1])      # row 1 is padded after its first step
+        w = Tensor(rng.normal(size=(2, 3, 2)))
+
+        def fn(ts):
+            z, states, _ = enc(ids, lengths)
+            return ad.sum(sq(z)) + ad.sum(states * w)
+
+        return (fn, [enc.embed.table, enc.cell.W, enc.cell.U, enc.cell.b])
 
     def build_lstm_step(rng):
         cell = LSTMCell(2, 2, rng)
@@ -201,7 +235,10 @@ def gradcheck_cases():
         ("tanh", elementwise(ad.tanh)), ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
         ("concat", build_concat), ("narrow", build_narrow), ("reshape", build_reshape),
         ("sum", build_sum_axis), ("mean", build_mean), ("mean_softplus", build_mean_softplus),
-        ("affine", build_affine), ("lstm_step", build_lstm_step),
+        ("mean_softplus_neg", build_mean_softplus_neg),
+        ("affine", build_affine), ("mlp", mlp(False)), ("mlp_frozen", mlp(True)),
+        ("vector_encoder", build_vector_encoder), ("text_encoder", build_text_encoder),
+        ("lstm_step", build_lstm_step),
         ("lstm_sequence", build_lstm_sequence),
         ("attention_readout", build_attention_readout),
         ("teacher_forced_loss", build_teacher_forced_loss),

@@ -135,9 +135,9 @@ def make_batch(rows: list[dict], cfg: ExperimentConfig) -> Batch:
     if "text" in cfg.modalities:
         b.text_ids, b.lengths = _padded([r["text"] for r in rows])
     if "speech" in cfg.modalities:
-        b.speech = np.stack([r["speech"] for r in rows])
+        b.speech = np.array([r["speech"] for r in rows])
     if "video" in cfg.modalities:
-        b.video = np.stack([r["video"] for r in rows])
+        b.video = np.array([r["video"] for r in rows])
     if cfg.task == "classification":
         b.labels = np.array([r["label"] for r in rows])
     else:
@@ -342,7 +342,7 @@ class TrainState:
         for m in ("speech", "video"):
             if m in cfg.modalities:
                 getattr(model, f"{m}_enc").fit_normalization(
-                    np.stack([getattr(s, m) for s in train_raw]))
+                    np.array([getattr(s, m) for s in train_raw]))
         main, disc = model.non_discriminator_parameters(), model.discriminator_parameters()
         return cls(model=model, info=info, rngs=rngs, opt=AdamState(lr=cfg.lr),
                    disc_opt=AdamState(lr=cfg.lr / 2.0), main_params=main,
@@ -424,7 +424,7 @@ def train(cfg: ExperimentConfig) -> tuple[ckpt_io.Checkpoint, RunRecord]:
     state = TrainState.start(cfg, info, train_raw)
     rows = encode_samples(train_raw, cfg, info)
     for state.epoch in range(cfg.epochs):
-        order = state.rngs["shuffle"].permutation(len(rows))
+        order = state.rngs["shuffle"].permutation(len(rows)).tolist()
         for start in range(0, len(rows), cfg.batch_size):
             train_step(state, make_batch(
                 [rows[i] for i in order[start:start + cfg.batch_size]], cfg))
@@ -493,8 +493,10 @@ EVAL_BATCH = 64         # rows per forward pass in evaluate_model
 def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
                    word_drop_p: float = 0.0, drop_seed: int = 0) -> dict[str, float]:
     """Metric map for one dataset; GAN noise and dropout are off at
-    evaluation. A word-drop probability outside [0, 1] raises ValueError,
-    whether or not the model reads text."""
+    evaluation. A GAN model that reads text also gets the silhouette of its
+    text z_g by topic, when the set holds at least two topics. A word-drop
+    probability outside [0, 1] raises ValueError, whether or not the model
+    reads text."""
     if not 0.0 <= word_drop_p <= 1.0:
         raise ValueError(f"word-drop probability must lie in [0, 1], got {word_drop_p}")
     cfg = model.cfg
@@ -524,8 +526,8 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
         metrics.update(bleu1=report.bleu1, bleu2=report.bleu2,
                        bleu3=report.bleu3, bleu4=report.bleu4,
                        brevity_penalty=report.brevity_penalty)
-    if text_zg:
-        topics = np.array([r["topic"] for r in rows])
+    topics = np.array([r["topic"] for r in rows])
+    if text_zg and len(np.unique(topics)) >= 2:
         metrics["silhouette"] = silhouette(np.vstack(text_zg), topics)
     return metrics
 

@@ -72,11 +72,30 @@ class MLP(Module):
         self.fc2 = self.add_child("fc2", Affine(hidden, d_out, rng))
 
     def __call__(self, x: Tensor, frozen: bool = False) -> Tensor:
-        """With frozen=True the parameters are detached, so backward reaches
-        x (and whatever produced it) but never this network's parameters."""
-        params = (self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b)
-        w1, b1, w2, b2 = (p.detach() for p in params) if frozen else params
-        return ad.affine(ad.leaky_relu(ad.affine(x, w1, b1), alpha=0.2), w2, b2)
+        """The whole network as one graph node, whose backward runs the chain
+        rule of fc2, the slope and fc1 in that order. With frozen=True x is
+        its only parent, so backward reaches x (and whatever produced it) but
+        never this network's parameters."""
+        W1, b1, W2, b2 = self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b
+        xd, w1, w2 = x.data, W1.data, W2.data
+        if xd.ndim != 2 or xd.shape[1] != w1.shape[0]:
+            raise DimensionError(f"MLP expects (n, {w1.shape[0]}) inputs, got {x.shape}")
+        pre = xd @ w1 + b1.data
+        slope = np.where(pre >= 0.0, 1.0, 0.2)
+        h = pre * slope
+        out = h @ w2 + b2.data
+
+        def bw(g):
+            g_pre = (g @ w2.T) * slope
+            if not frozen:
+                W2._accumulate(h.T @ g)
+                b2._accumulate(g.sum(axis=0))
+                W1._accumulate(xd.T @ g_pre)
+                b1._accumulate(g_pre.sum(axis=0))
+            if x.requires_grad:
+                x._accumulate(g_pre @ w1.T)
+
+        return ad._make(out, (x,) if frozen else (x, W1, b1, W2, b2), bw)
 
 
 class Embedding(Module):

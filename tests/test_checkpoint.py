@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuselab.checkpoint import (Checkpoint, CheckpointError,
                                 generator_state_from_array,
@@ -146,3 +148,59 @@ def test_unicode_names_and_config(tmp_path):
     back = load_checkpoint(path)
     assert "enc.é" in back.tensors
     assert back.config_text == ckpt.config_text
+
+
+def corrupt_name(raw):      # the first tensor name starts at byte 14
+    return raw[:14] + b"\xff" + raw[15:]
+
+
+def corrupt_config(raw):
+    return raw[:-2] + b"\xc3" + raw[-1:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (corrupt_name, "tensor name is not UTF-8"),
+    (corrupt_config, "config block is not UTF-8"),
+    (lambda raw: raw + b"\x00", "1 trailing bytes after the config block"),
+])
+def test_corrupt_bytes_rejected(tmp_path, edit, message):
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, sample_checkpoint(np.random.default_rng(5)))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_rank_above_numpy_limit_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    write_hostile_header(path, (1,) * 65)
+    with pytest.raises(CheckpointError, match="maximum supported dimension"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "c.bin"
+    save_checkpoint(path, sample_checkpoint(np.random.default_rng(6)))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)), max_size=6),
+       cut=st.none() | st.integers(0, 2**20), tail=st.binary(max_size=4))
+@example(edits=[(14, 0xff)], cut=None, tail=b"")
+@example(edits=[], cut=None, tail=b"\x00")
+def test_mutated_checkpoint_loads_or_raises_checkpoint_error(fuzz_file, edits, cut, tail):
+    """Byte edits, a cut and appended bytes: the reader returns a checkpoint
+    or raises CheckpointError, and raises nothing else."""
+    path, original = fuzz_file
+    raw = bytearray(original)
+    for pos, byte in edits:
+        raw[pos % len(raw)] = byte
+    if cut is not None:
+        raw = raw[:cut % (len(raw) + 1)]
+    path.write_bytes(bytes(raw) + tail)
+    try:
+        assert isinstance(load_checkpoint(path), Checkpoint)
+    except CheckpointError:
+        pass

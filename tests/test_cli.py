@@ -222,6 +222,19 @@ def test_corrupt_checkpoint_exit_code_2(workdir, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw + b"\x00", "1 trailing bytes after the config block"),
+    (lambda raw: raw[:-2] + b"\xff" + raw[-1:], "config block is not UTF-8"),
+])
+def test_corrupt_checkpoint_bytes_exit_code_2(misfit_paths, tmp_path, capsys, edit, message):
+    bad = tmp_path / "bad.bin"
+    with open(misfit_paths["ckpt"], "rb") as fh:
+        bad.write_bytes(edit(fh.read()))
+    rc = main(["eval", "--checkpoint", str(bad), "--dataset", misfit_paths["mt_val"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"runtime error: {message}")
+
+
 @pytest.mark.parametrize("shape", [(1,), (), (2,)])
 def test_buffer_of_wrong_shape_exit_code_2(misfit_paths, tmp_path, capsys, shape):
     """A normalisation buffer is copied in only at the model's own shape."""

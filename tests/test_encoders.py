@@ -123,3 +123,42 @@ def test_latent_bundle_requires_modality():
 def test_latent_bundle_text_needs_states():
     with pytest.raises(ValueError):
         LatentBundle(latents={"text": Tensor(np.zeros((1, 2)))})
+
+
+def grads_of(params, loss):
+    for p in params:
+        p.zero_grad()
+    loss.backward()
+    return [p.grad.tobytes() for p in params]
+
+
+def test_text_readout_matches_mask_and_one_hot_sum_bitwise(rng):
+    """The readout nodes give the bytes of the composition they replaced:
+    narrow times the mask, then a one-hot multiply summed over steps."""
+    enc = TextEncoder(vocab_size=8, embed_dim=3, hidden=4, rng=rng)
+    params = list(enc.parameters().values())
+    ids, lengths = rng.integers(0, 8, size=(3, 5)), np.array([5, 2, 1])
+    w_z, w_s = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(3, 5, 4)))
+    z, states, mask = enc(ids, lengths)
+    new = [z.data.tobytes(), states.data.tobytes()]
+    new += grads_of(params, ad.sum(z * w_z) + ad.sum(states * w_s))
+
+    hc = enc.cell.sequence(enc.embed(ids), *enc.cell.zero_state(3))
+    states = ad.narrow(hc, 2, 0, 4) * Tensor(mask[:, :, None])
+    last = (np.arange(5)[None, :] == lengths[:, None] - 1).astype(np.float64)
+    z = ad.sum(states * Tensor(last[:, :, None]), axis=1)
+    old = [z.data.tobytes(), states.data.tobytes()]
+    old += grads_of(params, ad.sum(z * w_z) + ad.sum(states * w_s))
+    assert new == old
+
+
+def test_vector_encoder_matches_affine_then_tanh_bitwise(rng):
+    enc = VectorEncoder(4, 3, rng)
+    enc.fit_normalization(rng.normal(2.0, 3.0, size=(20, 4)))
+    params = [enc.proj.W, enc.proj.b]
+    feats, w = rng.normal(2.0, 3.0, size=(6, 4)), Tensor(rng.normal(size=(6, 3)))
+    out = enc(feats)
+    new = [out.data.tobytes()] + grads_of(params, ad.sum(out * w))
+    out = ad.tanh(enc.proj(Tensor((feats - enc.norm_mean) / enc.norm_std)))
+    old = [out.data.tobytes()] + grads_of(params, ad.sum(out * w))
+    assert new == old

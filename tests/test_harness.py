@@ -242,6 +242,19 @@ def test_silhouette_only_for_gan(cls_paths):
         assert ("silhouette" in m) is expect
 
 
+def test_one_topic_validation_split_trains_without_silhouette(tmp_path):
+    """A set of one topic has no silhouette, so training on a val split of
+    one topic runs on and logs every other val metric."""
+    train, val, _ = data_mod.split_dataset(data_mod.gen_toy_translation(60, seed=1))
+    assert {s.topic for s in val} == {0} and len({s.topic for s in train}) > 1
+    paths = {"train": str(tmp_path / "train.tsv"), "val": str(tmp_path / "val.tsv")}
+    data_mod.write_dataset(paths["train"], train)
+    data_mod.write_dataset(paths["val"], val)
+    _, record = harness.train(quick_config(paths, task="translation", fusion="gan"))
+    val_metrics = {metric for _, split, metric, _ in record.rows if split == "val"}
+    assert "bleu4" in val_metrics and "silhouette" not in val_metrics
+
+
 def test_eval_encodes_each_batch_once(mt_paths, monkeypatch):
     """The silhouette's text z_g comes from the forward that predicts."""
     samples = data_mod.read_dataset(mt_paths["test"])

@@ -39,6 +39,47 @@ def test_affine_gradcheck(rng):
                     [x, Tensor(rng.uniform(-1, 1, size=(2, 3))), aff.W, aff.b])
 
 
+def three_node_mlp(net, x, frozen=False):
+    """The MLP as three graph nodes, affine, LeakyReLU(0.2), affine, with
+    detached parameters when frozen: the oracle of the one-node MLP."""
+    params = (net.fc1.W, net.fc1.b, net.fc2.W, net.fc2.b)
+    w1, b1, w2, b2 = (p.detach() for p in params) if frozen else params
+    return ad.affine(ad.leaky_relu(ad.affine(x, w1, b1), alpha=0.2), w2, b2)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_mlp_matches_three_node_composition_bitwise(rng, frozen):
+    net = layers.MLP(4, 6, 3, rng)
+    params = [net.fc1.W, net.fc1.b, net.fc2.W, net.fc2.b]
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 3)))
+    runs = []
+    for call in (net.__call__, lambda x, frozen: three_node_mlp(net, x, frozen)):
+        for t in [x, *params]:
+            t.zero_grad()
+        out = call(x, frozen=frozen)
+        ad.sum(out * w).backward()
+        runs.append([out.data] + [t.grad for t in [x, *params]])
+    pre = x.data @ net.fc1.W.data
+    assert (pre < 0).any() and (pre > 0).any()      # both slopes act
+    for new, old in zip(*runs):
+        if old is None:
+            assert frozen and new is None
+        else:
+            assert new.tobytes() == old.tobytes()
+
+
+def test_mlp_frozen_on_detached_input_builds_no_node(rng):
+    net = layers.MLP(2, 3, 1, rng)
+    out = net(Tensor(rng.normal(size=(4, 2))), frozen=True)
+    assert not out.requires_grad and out._backward is None
+
+
+def test_mlp_width_mismatch(rng):
+    with pytest.raises(ad.DimensionError, match=r"MLP expects \(n, 4\) inputs, got \(2, 3\)"):
+        layers.MLP(4, 6, 3, rng)(Tensor(np.zeros((2, 3))))
+
+
 def test_lstm_zero_weights_zero_state(rng):
     cell = layers.LSTMCell(3, 4, rng)
     for p in cell.parameters().values():
