@@ -8,7 +8,7 @@ inputs) are never visited, only accumulated into. Gradients accumulate across
 backward calls; callers zero them between optimizer steps.
 
 Ops: add, sub, mul (broadcasting); tanh, leaky_relu; affine (``x @ W + b``
-as one node); concat, narrow, reshape; sum, mean, mean_softplus. Layers with
+as one node); concat, reshape; sum, mean, mean_softplus. Layers with
 a fused forward (the LSTM sequence, the decoder's attention readout) build
 their own node with ``_make``.
 
@@ -237,23 +237,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             t._accumulate(g[piece])
 
     return _make(out_data, tuple(tensors), bw)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` entries along `axis`."""
-    if axis >= x.data.ndim or start + length > x.shape[axis]:
-        raise DimensionError(f"narrow({axis},{start},{length}) out of range for {x.shape}")
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out_data = x.data[idx]
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        x._accumulate(full)
-
-    return _make(out_data, (x,), bw)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -63,6 +63,21 @@ def _check_range(args, *names) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value}")
 
 
+def _parse_grid(flag: str, text: str, probability: bool = False) -> list[float]:
+    """The numbers of a comma-separated grid flag. An empty grid or item, an
+    item that is not a number and, for a probability grid, a value outside
+    [0, 1] raise a ConfigError that names the flag."""
+    grid = []
+    for item in text.split(","):
+        try:
+            grid.append(float(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: {item!r} is not a number") from None
+        if probability and not 0.0 <= grid[-1] <= 1.0:
+            raise ConfigError(f"word-drop probability must lie in [0, 1], got {grid[-1]} in {flag}")
+    return grid
+
+
 def cmd_gen_data(args) -> int:
     _check_range(args, "seed", "noise")
     # the translation generator's flags; one left unset keeps its default
@@ -129,10 +144,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    grid = None if args.p_grid is None else _parse_grid("--p-grid", args.p_grid, probability=True)
     model, cfg, info = harness.model_from_checkpoint(
         ckpt_io.load_checkpoint(args.checkpoint))
     samples = harness.read_dataset_for(args.dataset, cfg, info)
-    grid = [float(x) for x in args.p_grid.split(",")] if args.p_grid else None
     rows = harness.ablate(model, info, samples, p_grid=grid)
     out = args.out or os.path.join(cfg.output_root, "ablation.csv")
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -157,9 +172,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    grid1 = _parse_grid("--lambda1-grid", args.lambda1_grid)
+    grid2 = _parse_grid("--lambda2-grid", args.lambda2_grid)
     cfg = _build_config(args)
-    grid1 = [float(x) for x in args.lambda1_grid.split(",")]
-    grid2 = [float(x) for x in args.lambda2_grid.split(",")]
     root = cfg.output_root
     grid = [replace(cfg, lambda1=l1, lambda2=l2,
                     out_dir=os.path.join(root, f"l1_{l1}_l2_{l2}"))

@@ -34,7 +34,6 @@ class TextEncoder(Module):
     def __init__(self, vocab_size: int, embed_dim: int, hidden: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.hidden = hidden
         self.embed = self.add_child("embed", Embedding(vocab_size, embed_dim, rng))
         self.cell = self.add_child("lstm", LSTMCell(embed_dim, hidden, rng))
 
@@ -49,20 +48,9 @@ class TextEncoder(Module):
 
         # The LSTM is causal: steps past a row's length never reach its earlier
         # states, so padding runs through the cell and is masked out afterwards.
-        hc = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(b))
-        states = self._masked_states(hc, mask)
+        hs = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(b))
+        states = hs * Tensor(mask[:, :, None])
         return self._last_states(states, lengths), states, mask
-
-    def _masked_states(self, hc: Tensor, mask: np.ndarray) -> Tensor:
-        """The h half of the LSTM output (b, L, 2h), times the mask (b, L)."""
-        hd, m = self.hidden, mask[:, :, None]
-
-        def bw(g):
-            full = np.zeros_like(hc.data)
-            full[:, :, :hd] = g * m
-            hc._accumulate(full)
-
-        return ad._make(hc.data[:, :, :hd] * m, (hc,), bw)
 
     @staticmethod
     def _last_states(states: Tensor, lengths: np.ndarray) -> Tensor:

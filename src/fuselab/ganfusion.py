@@ -32,6 +32,7 @@ class ModuleForward:
     z_g: Tensor
     z_tr: Tensor
     inner_loss: Tensor
+    fake_logits: np.ndarray | None = None   # D(z_g), kept by compose's generator loss
 
 
 class GanFusionModule(Module):
@@ -88,18 +89,24 @@ class GanFusionModule(Module):
         d_fake = self.discriminator(z_g.detach())
         return ad.mean_softplus(d_real, sign=-1.0) + ad.mean_softplus(d_fake)
 
-    def generator_loss(self, z_g: Tensor) -> Tensor:
+    def generator_loss(self, z_g: Tensor, forward: ModuleForward | None = None) -> Tensor:
         """Non-saturating -mean log D(z_g) by default; the literal minimax
-        mean log(1 - D(z_g)) when the module was built saturating."""
+        mean log(1 - D(z_g)) when the module was built saturating. With a
+        forward given, D's logits on z_g are kept in its fake_logits."""
         d_fake = self.discriminator(z_g, frozen=True)
+        if forward is not None:
+            forward.fake_logits = d_fake.data
         if self.saturating:
             return -ad.mean_softplus(d_fake)
         return ad.mean_softplus(d_fake, sign=-1.0)
 
-    def discriminator_accuracy(self, z_tr: Tensor, z_g: Tensor) -> float:
-        """Share of z_tr scored real and z_g scored fake; builds no graph."""
+    def discriminator_accuracy(self, z_tr: Tensor, z_g: Tensor,
+                               fake_logits: np.ndarray | None = None) -> float:
+        """Share of z_tr scored real and z_g scored fake; builds no graph.
+        Given D's logits on z_g as fake_logits, D runs on z_tr only."""
         d_real = self.discriminator(z_tr.detach(), frozen=True).data
-        d_fake = self.discriminator(z_g.detach(), frozen=True).data
+        d_fake = (self.discriminator(z_g.detach(), frozen=True).data
+                  if fake_logits is None else fake_logits)
         return float(((d_real > 0.0).sum() + (d_fake <= 0.0).sum())
                      / (d_real.size + d_fake.size))
 
@@ -147,13 +154,13 @@ class GanFusionStack(Module):
 
     def compose(self, forwards: list[ModuleForward]) -> FusionOutput:
         """The fused vector of the forwards' z_g, and J_fusion: the sum over
-        modules of the generator loss and, for a module with an inner
-        Auto-Fusion, its reconstruction loss."""
+        modules of the generator loss (each forward keeps its D logits) and,
+        for a module with an inner Auto-Fusion, its reconstruction loss."""
         z_fuse = self.project({f.name: f.z_g for f in forwards})
         terms = []
         for f in forwards:
             module = self.modules[f.name]
-            term = module.generator_loss(f.z_g)
+            term = module.generator_loss(f.z_g, f)
             terms.append(term if module.inner is None else term + f.inner_loss)
         return FusionOutput(z_fuse=z_fuse, j_fusion=sum(terms[1:], terms[0]))
 

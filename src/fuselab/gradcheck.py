@@ -97,10 +97,6 @@ def gradcheck_cases():
         return (lambda ts: ad.sum(sq(ad.concat([ts[0], ts[1]], axis=1))),
                 [t(rng, 3, 2), t(rng, 3, 3)])
 
-    def build_narrow(rng):
-        return (lambda ts: ad.sum(sq(ad.narrow(ts[0], 1, 1, 2))),
-                [t(rng, 3, 4)])
-
     def build_reshape(rng):
         return (lambda ts: ad.sum(sq(ad.reshape(ts[0], (2, 6)))),
                 [t(rng, 3, 4)])
@@ -166,7 +162,7 @@ def gradcheck_cases():
     def build_lstm_sequence(rng):
         cell = LSTMCell(2, 2, rng)
         x, h0, c0 = t(rng, 2, 3, 2), t(rng, 2, 2), t(rng, 2, 2)
-        w = Tensor(rng.normal(size=(2, 3, 4)))  # weighs the h and the c half
+        w = Tensor(rng.normal(size=(2, 3, 2)))  # weighs each hidden state
 
         def fn(ts):
             return ad.sum(sq(cell.sequence(ts[0], ts[1], ts[2])) * w)
@@ -233,7 +229,7 @@ def gradcheck_cases():
     return [
         ("add", build_add), ("sub", build_sub), ("mul", build_mul),
         ("tanh", elementwise(ad.tanh)), ("leaky_relu", elementwise(ad.leaky_relu, alpha=0.2)),
-        ("concat", build_concat), ("narrow", build_narrow), ("reshape", build_reshape),
+        ("concat", build_concat), ("reshape", build_reshape),
         ("sum", build_sum_axis), ("mean", build_mean), ("mean_softplus", build_mean_softplus),
         ("mean_softplus_neg", build_mean_softplus_neg),
         ("affine", build_affine), ("mlp", mlp(False)), ("mlp_frozen", mlp(True)),

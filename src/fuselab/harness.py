@@ -364,10 +364,11 @@ def train_step(state: TrainState, batch: Batch) -> None:
         _check_finite("discriminator", d_loss.item())
         d_loss.backward()
         adam_step(state.disc_params, state.disc_opt)
-        state.record.disc_accuracy.append(float(np.mean(
-            [model.fusion.modules[f.name].discriminator_accuracy(f.z_tr, f.z_g)
-             for f in forwards])))
         fused = model.fusion.compose(forwards)
+        # the fake half reuses the updated D's logits from the generator loss
+        state.record.disc_accuracy.append(float(np.mean(
+            [model.fusion.modules[f.name].discriminator_accuracy(f.z_tr, f.z_g, f.fake_logits)
+             for f in forwards])))
     else:
         fused = model.fuse(bundle, state.rngs["noise"])
     j_task = model.task_loss(fused, bundle, batch, state.rngs["dropout"])

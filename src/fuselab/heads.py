@@ -125,8 +125,8 @@ class AttentiveDecoder(Module):
         targets = np.asarray(targets, dtype=np.int64)
         b = targets.shape[0]
         inputs = np.concatenate([np.full((b, 1), SOS), targets[:, :-1]], axis=1)
-        hc = self.cell.sequence(self._inputs(inputs, z_fuse), *self.init_state(z_fuse))
-        logits = self._readout(ad.narrow(hc, 2, 0, self.hidden), states, mask)
+        hs = self.cell.sequence(self._inputs(inputs, z_fuse), *self.init_state(z_fuse))
+        logits = self._readout(hs, states, mask)
         return softmax_cross_entropy(logits, targets.reshape(-1), ignore_index=PAD)
 
     def decode_greedy(self, z_fuse: Tensor, states: Tensor, mask: np.ndarray,
@@ -135,8 +135,8 @@ class AttentiveDecoder(Module):
 
         Runs on arrays and builds no graph node: the mask bias, the initial
         state, -U and the LSTM input projection of every vocabulary entry
-        (V, 4h) are made once per batch, then each step is ``_array_step``,
-        which takes its input rows from that table. Under
+        (4, V, h) are made once per batch, then each step is ``_array_step``,
+        which gathers its input rows from that table. Under
         ``condition_every_step`` the input depends on z, so each step
         projects it instead, with results equal to the graph step's bit for
         bit. A row leaves the batch at the step that emits its EOS, so each
@@ -147,7 +147,7 @@ class AttentiveDecoder(Module):
         h = np.tanh(z @ self.bridge.W.data + self.bridge.b.data)
         c = np.zeros(h.shape)
         table = None if self.condition_every_step else self.cell.project(self.embed.table.data)
-        neg_u = -self.cell.U.data
+        neg_u = self.cell.neg_u()
         b = z.shape[0]
         tokens = np.zeros((b, max_len), dtype=np.int64)
         length = np.full(b, max_len)
@@ -170,8 +170,9 @@ class AttentiveDecoder(Module):
     def _array_step(self, prev, h, c, z, states, bias, table, neg_u):
         """One decoder step on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
         states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c').
-        ``decode_greedy`` passes what it makes once per batch: -U and
-        ``table``, the LSTM input projection of the vocabulary, whose rows
+        ``decode_greedy`` passes what it makes once per batch: ``neg_u``,
+        -U in gate blocks, and ``table``, the gate-major LSTM input
+        projection of the vocabulary (4, V, h), whose columns table[:, prev]
         the step gathers. With ``table=None``, every op and operand layout is
         that of the graph step (``cell.sequence`` of length one, then
         ``_readout``), so the results are bitwise equal."""
@@ -182,12 +183,12 @@ class AttentiveDecoder(Module):
                 x = np.concatenate([x, z], axis=1)
             xw = self.cell.project(x)
         else:
-            xw = table[prev]
-        n = xw.shape[0]
-        hc = np.empty((n, 2 * hd))
-        self.cell.step_into(xw, neg_u, h, c, np.empty((n, 4 * hd)), np.empty((n, hd)), hc)
-        h = hc[:, :hd]
-        return self._attend(h, states, bias)[0], h, hc[:, hd:]
+            xw = table[:, prev]
+        n = xw.shape[1]
+        h_new, c_new = np.empty((n, hd)), np.empty((n, hd))
+        self.cell.step_into(xw, neg_u, h, c, np.empty((4, n, hd)), np.empty((n, hd)),
+                            h_new, c_new)
+        return self._attend(h_new, states, bias)[0], h_new, c_new
 
 
 def _mask_bias(mask: np.ndarray) -> np.ndarray:

@@ -122,7 +122,9 @@ class Embedding(Module):
 
 
 class LSTMCell(Module):
-    """LSTM recurrence. Gate order i, f, o, g; forget-gate bias starts at 1."""
+    """LSTM recurrence. Gate order i, f, o, g; forget-gate bias starts at 1.
+    Every path is gate-major: the gates of n rows are one (4, n, h) array, a
+    contiguous block per gate, and h and c are separate (n, h) arrays."""
 
     def __init__(self, d_in: int, d_hidden: int, rng: np.random.Generator):
         super().__init__()
@@ -136,7 +138,7 @@ class LSTMCell(Module):
 
     def sequence(self, x: Tensor, h0: Tensor, c0: Tensor) -> Tensor:
         """Every step over x (b, L, d_in) from state (h0, c0), as one graph
-        node: returns (b, L, 2h) holding [h_t; c_t] for each step t.
+        node: returns the hidden states (b, L, h); c stays inside.
 
         The input projection of all b*L rows, bias included, is one GEMM,
         leaving one h @ U per step; the backward runs backpropagation through
@@ -150,31 +152,29 @@ class LSTMCell(Module):
                 f"({self.d_in}, {hd})")
         b, L, d = x.shape
         W, U, bias = self.W, self.U, self.b
-        # time-major buffers, so each step reads and writes contiguous rows
+        # time-major buffers, so each step reads and writes contiguous blocks
         x_rows = x.data.transpose(1, 0, 2).reshape(L * b, d)
-        xw = self.project(x_rows).reshape(L, b, 4 * hd)
-        neg_u = -U.data
-        acts = np.empty((L, b, 4 * hd))     # i, f, o, g after their nonlinearity
+        xw = self.project(x_rows).reshape(4, L, b, hd)
+        neg_u = self.neg_u()
+        acts = np.empty((L, 4, b, hd))      # i, f, o, g after their nonlinearity
         tanh_c = np.empty((L, b, hd))
-        hc = np.empty((L + 1, b, 2 * hd))   # [h; c] before step 0, then after each
-        hc[0, :, :hd], hc[0, :, hd:] = h0.data, c0.data
+        H, C = np.empty((L + 1, b, hd)), np.empty((L + 1, b, hd))  # before step 0, then after each
+        H[0], C[0] = h0.data, c0.data
         for t in range(L):
-            self.step_into(xw[t], neg_u, hc[t, :, :hd], hc[t, :, hd:], acts[t], tanh_c[t],
-                           hc[t + 1])
-        out = hc[1:].transpose(1, 0, 2)
+            self.step_into(xw[:, t], neg_u, H[t], C[t], acts[t], tanh_c[t], H[t + 1], C[t + 1])
 
         def bw(g):
             g = g.transpose(1, 0, 2)
-            d_gates = np.empty((L, b, 4 * hd))
+            d_gates = np.empty((L, b, 4 * hd))   # gate columns, as the GEMMs read them
             dh, dc = np.zeros((b, hd)), np.zeros((b, hd))
             for t in reversed(range(L)):
-                i, f, o, gg = (acts[t, :, k * hd:(k + 1) * hd] for k in range(4))
+                i, f, o, gg = acts[t]
                 tc = tanh_c[t]
-                dh = dh + g[t, :, :hd]
-                dc = dc + g[t, :, hd:] + dh * o * (1.0 - tc * tc)
+                dh = dh + g[t]
+                dc = dc + dh * o * (1.0 - tc * tc)
                 dg = d_gates[t]
                 dg[:, :hd] = dc * gg * i * (1.0 - i)
-                dg[:, hd:2 * hd] = dc * hc[t, :, hd:] * f * (1.0 - f)
+                dg[:, hd:2 * hd] = dc * C[t] * f * (1.0 - f)
                 dg[:, 2 * hd:3 * hd] = dh * tc * o * (1.0 - o)
                 dg[:, 3 * hd:] = dc * i * (1.0 - gg * gg)
                 dh, dc = dg @ U.data.T, dc * f
@@ -182,51 +182,60 @@ class LSTMCell(Module):
             if x.requires_grad:
                 x._accumulate((flat @ W.data.T).reshape(L, b, d).transpose(1, 0, 2))
             W._accumulate(x_rows.T @ flat)
-            U._accumulate(hc[:-1, :, :hd].reshape(L * b, hd).T @ flat)
+            U._accumulate(H[:-1].reshape(L * b, hd).T @ flat)
             bias._accumulate(flat.sum(axis=0))
             h0._accumulate(dh)
             c0._accumulate(dc)
 
-        return ad._make(out, (x, h0, c0, W, U, bias), bw)
+        return ad._make(H[1:].transpose(1, 0, 2), (x, h0, c0, W, U, bias), bw)
+
+    def _gate_blocks(self, m: np.ndarray) -> np.ndarray:
+        """The columns of m (k, 4h) as per-gate blocks (4, k, h)."""
+        return np.ascontiguousarray(m.reshape(len(m), 4, self.d_hidden).transpose(1, 0, 2))
 
     def project(self, x_rows: np.ndarray) -> np.ndarray:
         """The negated input projection that ``step_into`` takes:
-        -(x_rows @ W + b), (n, 4h)."""
-        return x_rows @ -self.W.data - self.b.data
+        -(x_rows @ W + b) in gate-major blocks (4, n, h)."""
+        xw = np.matmul(x_rows, self._gate_blocks(-self.W.data))
+        xw -= self.b.data.reshape(4, 1, self.d_hidden)
+        return xw
+
+    def neg_u(self) -> np.ndarray:
+        """-U in gate-major blocks (4, h, h), as ``step_into`` takes it."""
+        return self._gate_blocks(-self.U.data)
 
     def step_into(self, xw_t: np.ndarray, neg_u: np.ndarray, h: np.ndarray,
                   c: np.ndarray, acts: np.ndarray, tanh_c: np.ndarray,
-                  hc: np.ndarray) -> None:
+                  h_new: np.ndarray, c_new: np.ndarray) -> None:
         """One step on arrays, the gate math of every LSTM path.
 
-        From xw_t = ``project(x_t)`` (n, 4h), neg_u = -U and the state h, c
-        (n, h), acts (n, 4h) first holds the negated pre-activations
-        -(x_t @ W + b + h @ U). Writes the gates after their nonlinearity
-        (i, f, o, g) into acts, tanh(c') into tanh_c (n, h) and [h'; c']
-        into hc (n, 2h); h and c are read before hc is written. Every pass
-        runs in place in these buffers: tanh(g) = -tanh(acts) is put aside
-        in tanh_c, then the sigmoid 1 / (1 + exp(acts)) runs over the whole
-        contiguous acts, and tanh(g) goes back over its columns.
+        From xw_t = ``project(x_t)`` (4, n, h), neg_u = ``neg_u()`` and the
+        state h, c (n, h), acts (4, n, h) first holds the negated
+        pre-activations -(x_t @ W + b + h @ U), written gate by gate by one
+        batched matmul. Writes the gates after their nonlinearity (i, f, o,
+        g) into acts, tanh(c') into tanh_c and h', c' into h_new, c_new
+        (n, h each); h and c are read before those are written. Every pass
+        runs in place on contiguous blocks: tanh(g) = -tanh(acts[3]), and
+        the sigmoid 1 / (1 + exp(acts[:3])) of the other three gates.
         """
-        hd, hd3 = self.d_hidden, 3 * self.d_hidden
         np.matmul(h, neg_u, out=acts)
         acts += xw_t
-        np.tanh(acts[:, hd3:], out=tanh_c)
+        i, f, o, g = acts
+        np.tanh(g, out=g)
+        np.negative(g, out=g)
+        sig = acts[:3]
         with np.errstate(over="ignore"):    # exp overflows to inf: the gate is 0
-            np.exp(acts, out=acts)
-        acts += 1.0
-        np.reciprocal(acts, out=acts)
-        np.negative(tanh_c, out=acts[:, hd3:])
-        c_new = hc[:, hd:]
-        np.multiply(acts[:, hd:2 * hd], c, out=c_new)
-        np.multiply(acts[:, :hd], acts[:, hd3:], out=tanh_c)
+            np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)
+        np.multiply(f, c, out=c_new)
+        np.multiply(i, g, out=tanh_c)
         c_new += tanh_c
         np.tanh(c_new, out=tanh_c)
-        np.multiply(acts[:, 2 * hd:hd3], tanh_c, out=hc[:, :hd])
+        np.multiply(o, tanh_c, out=h_new)
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        z = np.zeros((batch, self.d_hidden))
-        return Tensor(z.copy()), Tensor(z.copy())
+        return Tensor(np.zeros((batch, self.d_hidden))), Tensor(np.zeros((batch, self.d_hidden)))
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

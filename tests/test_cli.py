@@ -461,6 +461,31 @@ def test_word_drop_p_outside_unit_interval_exit_code_1(misfit_paths, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ablate", "--p-grid", ""], "--p-grid: '' is not a number"),
+    (["ablate", "--p-grid", "0.0,,0.4"], "--p-grid: '' is not a number"),
+    (["ablate", "--p-grid", "0.0,x"], "--p-grid: 'x' is not a number"),
+    (["ablate", "--p-grid", "0.0,0.2,1.5"],
+     "word-drop probability must lie in [0, 1], got 1.5 in --p-grid"),
+    (["sweep", "--lambda1-grid", ""], "--lambda1-grid: '' is not a number"),
+    (["sweep", "--lambda1-grid", "0.5,"], "--lambda1-grid: '' is not a number"),
+    (["sweep", "--lambda2-grid", "1.0,two"], "--lambda2-grid: 'two' is not a number"),
+])
+def test_bad_grid_exit_code_1_before_any_load_or_run(tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint was read or a model trained")
+
+    monkeypatch.setattr("fuselab.checkpoint.load_checkpoint", refuse)
+    monkeypatch.setattr(harness, "train", refuse)
+    out = tmp_path / "out"
+    rest = (["--checkpoint", "ckpt.bin", "--dataset", "test.tsv", "--out", str(out / "a.csv")]
+            if argv[0] == "ablate" else ["--task", "translation", "--out-dir", str(out)])
+    assert main(argv + rest) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task, kind, modalities", [
     ("translation", "translation", "speech,text"),
     ("classification", "interaction", "video,text"),

@@ -255,20 +255,34 @@ def test_trained_discriminator_separates_clouds(rng):
 
 
 def test_discriminator_accuracy_builds_no_graph(rng, monkeypatch):
+    """With the logits that compose's generator loss kept, the accuracy runs
+    one frozen D forward, on z_tr, builds no graph node and equals the
+    share that two fresh D calls give."""
     stack = make_stack(rng, {"speech": 3, "text": 4})
     mod = stack.modules["text"]
-    fwd = mod.gan_forward(make_bundle(rng, {"speech": 3, "text": 4}), rng)
+    forwards = stack.gan_forwards(make_bundle(rng, {"speech": 3, "text": 4}), rng)
+    stack.compose(forwards)
+    fwd = forwards[stack.order.index("text")]
     d_real = mod.discriminator(fwd.z_tr).data
     d_fake = mod.discriminator(fwd.z_g).data
+    assert fwd.fake_logits.tobytes() == d_fake.tobytes()
     expect = float(((d_real > 0.0).sum() + (d_fake <= 0.0).sum()) / 8)
-    tracked = []
-    make = ad._make
+    tracked, inputs = [], []
+    make, call = ad._make, layers.MLP.__call__
 
     def spy(data, parents, backward_fn):
         out = make(data, parents, backward_fn)
         tracked.append(out.requires_grad)
         return out
 
+    def counted(net, x, frozen=False):
+        inputs.append(x.data)
+        return call(net, x, frozen)
+
     monkeypatch.setattr(ad, "_make", spy)
-    assert mod.discriminator_accuracy(fwd.z_tr, fwd.z_g) == expect
+    monkeypatch.setattr(layers.MLP, "__call__", counted)
+    assert mod.discriminator_accuracy(fwd.z_tr, fwd.z_g, fwd.fake_logits) == expect
     assert tracked and not any(tracked)
+    assert len(inputs) == 1 and inputs[0] is fwd.z_tr.data
+    assert mod.discriminator_accuracy(fwd.z_tr, fwd.z_g) == expect
+    assert len(inputs) == 3

@@ -124,12 +124,12 @@ def test_video_speech_gan_step_nodes(tmp_path, monkeypatch):
 
 
 def test_translation_gan_step_nodes(tmp_path, monkeypatch):
-    """Trimodal translation GAN: each MLP call, the decoder's attention and
-    output layer, and each adversarial loss term are one node, so the whole
-    step builds 29 + 102 nodes."""
+    """Trimodal translation GAN: each MLP call, each LSTM sequence, the
+    decoder's attention and output layer, and each adversarial loss term
+    are one node, so the whole step builds 29 + 101 nodes."""
     losses = one_step_losses(tmp_path, monkeypatch, data_mod.gen_toy_translation(12, seed=3),
                              task="translation", fusion="gan")
-    assert [len(graph(loss)) for loss in losses] == [29, 102]  # d_loss, then j_total
+    assert [len(graph(loss)) for loss in losses] == [29, 101]  # d_loss, then j_total
 
 
 def test_every_graph_op_runs_in_a_model(tmp_path, monkeypatch):

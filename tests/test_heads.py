@@ -52,13 +52,18 @@ def make_decoder(rng, **kw):
 def decode_step(dec, prev_tokens, h, c, z_fuse, states, mask):
     """One decoder step as a graph: the LSTM sequence at length one, then the
     fused readout. Returns (logits (b, V), h', c', attention weights (b, L)).
+    The sequence keeps c' inside, so c' comes from the step it runs:
+    ``step_into`` on the projection of the same input rows.
     No model runs it; it is the bitwise oracle of ``_array_step``."""
     b, hd = len(prev_tokens), dec.hidden
-    hc = dec.cell.sequence(dec._inputs(np.asarray(prev_tokens)[:, None], z_fuse), h, c)
-    h, c = (ad.reshape(ad.narrow(hc, 2, k * hd, hd), (b, hd)) for k in (0, 1))
+    x = dec._inputs(np.asarray(prev_tokens)[:, None], z_fuse)
+    c_new = np.empty((b, hd))
+    dec.cell.step_into(dec.cell.project(x.data[:, 0]), dec.cell.neg_u(), h.data, c.data,
+                       np.empty((4, b, hd)), np.empty((b, hd)), np.empty((b, hd)), c_new)
+    h = ad.reshape(dec.cell.sequence(x, h, c), (b, hd))
     logits = dec._readout(ad.reshape(h, (b, 1, hd)), states, mask)
     weights = dec._attend(h.data, states.data, heads._mask_bias(mask))[2]
-    return logits, h, c, weights[:, 0]
+    return logits, h, Tensor(c_new), weights[:, 0]
 
 
 def test_single_unmasked_position_gets_full_weight(rng):
@@ -293,7 +298,7 @@ def test_array_step_bitwise_equals_decode_step(condition_every_step, width):
     z = Tensor(rng.normal(size=(b, 32)))
     h, c = dec.init_state(z)
     h_arr, c_arr = h.data, c.data
-    bias, neg_u = heads._mask_bias(mask), -dec.cell.U.data
+    bias, neg_u = heads._mask_bias(mask), dec.cell.neg_u()
     prev = np.full(b, SOS)
     for _ in range(5):
         logits, h, c, _ = decode_step(dec, prev, h, c, z, states, mask)
@@ -312,7 +317,7 @@ def test_array_step_table_rows_match_per_step_projection(b):
     states = rng.normal(size=(b, 7, 65))
     bias = heads._mask_bias(np.ones((b, 7)))
     z = rng.normal(size=(b, 32))
-    table, neg_u = dec.cell.project(dec.embed.table.data), -dec.cell.U.data
+    table, neg_u = dec.cell.project(dec.embed.table.data), dec.cell.neg_u()
     h, c = (t.data for t in dec.init_state(Tensor(z)))
     h_tab, c_tab = h, c
     prev = np.full(b, SOS)

@@ -85,8 +85,8 @@ def test_lstm_zero_weights_zero_state(rng):
     for p in cell.parameters().values():
         p.data[...] = 0.0
     h, c = cell.zero_state(2)
-    hc = cell.sequence(Tensor(np.zeros((2, 1, 3))), h, c)
-    np.testing.assert_array_equal(hc.data, 0.0)
+    hs = cell.sequence(Tensor(np.zeros((2, 1, 3))), h, c)
+    np.testing.assert_array_equal(hs.data, 0.0)
 
 
 def test_lstm_saturated_forget_keeps_cell(rng):
@@ -96,23 +96,39 @@ def test_lstm_saturated_forget_keeps_cell(rng):
     # bias drives f -> 1 and i -> 0
     cell.b.data[3:6] = 100.0
     cell.b.data[0:3] = -100.0
-    c0 = Tensor(rng.uniform(-1, 1, size=(2, 3)))
-    hc = cell.sequence(Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros((2, 3))), c0)
-    np.testing.assert_allclose(hc.data[:, 0, 3:], c0.data, atol=1e-12)
+    c0 = rng.uniform(-1, 1, size=(2, 3))
+    c_new = _run_step(cell, np.zeros((2, 2)), np.zeros((2, 3)), c0)[3]
+    np.testing.assert_allclose(c_new, c0, atol=1e-12)
 
 
 def test_lstm_unrolled_gradcheck(rng):
+    """Three steps, each a sequence of length one fed the last hidden state
+    and a cell state that is checked too."""
     cell = layers.LSTMCell(2, 3, rng)
     xs = [Tensor(rng.uniform(-1, 1, size=(2, 2)), requires_grad=True) for _ in range(3)]
+    cs = [Tensor(rng.uniform(-1, 1, size=(2, 3)), requires_grad=True) for _ in range(3)]
 
     def fn(ts):
-        h, c = cell.zero_state(2)
-        for x in ts[:3]:    # each step a sequence of length one, fed the last state
-            hc = ad.reshape(cell.sequence(ad.reshape(x, (2, 1, 2)), h, c), (2, 6))
-            h, c = ad.narrow(hc, 1, 0, 3), ad.narrow(hc, 1, 3, 3)
-        return ad.sum(h) + ad.sum(c)
+        h = cell.zero_state(2)[0]
+        for x, c in zip(ts[:3], ts[3:6]):
+            h = ad.reshape(cell.sequence(ad.reshape(x, (2, 1, 2)), h, c), (2, 3))
+        return ad.sum(h)
 
-    check_gradients(fn, xs + [cell.W, cell.U, cell.b])
+    check_gradients(fn, xs + cs + [cell.W, cell.U, cell.b])
+
+
+def _narrow(x, axis, start, length):
+    """A contiguous slice along axis, as a graph node."""
+    idx = [slice(None)] * x.data.ndim
+    idx[axis] = slice(start, start + length)
+    idx = tuple(idx)
+
+    def bw(g):
+        full = np.zeros_like(x.data)
+        full[idx] = g
+        x._accumulate(full)
+
+    return ad._make(x.data[idx], (x,), bw)
 
 
 def _lstm_composite(cell, x, h, c):
@@ -121,15 +137,15 @@ def _lstm_composite(cell, x, h, c):
     hd = cell.d_hidden
     out = []
     for t in range(L):
-        x_t = ad.reshape(ad.narrow(x, 1, t, 1), (b, d))
+        x_t = ad.reshape(_narrow(x, 1, t, 1), (b, d))
         gates = ad.affine(x_t, cell.W, cell.b) + ad.affine(h, cell.U, Tensor(np.zeros(4 * hd)))
         # sigmoid(a) = (1 + tanh(a/2)) / 2
-        i, f, o = ((ad.tanh(ad.narrow(gates, 1, k * hd, hd) * Tensor(0.5)) + Tensor(1.0))
+        i, f, o = ((ad.tanh(_narrow(gates, 1, k * hd, hd) * Tensor(0.5)) + Tensor(1.0))
                    * Tensor(0.5) for k in range(3))
-        g = ad.tanh(ad.narrow(gates, 1, 3 * hd, hd))
+        g = ad.tanh(_narrow(gates, 1, 3 * hd, hd))
         c = f * c + i * g
         h = o * ad.tanh(c)
-        out.append(ad.reshape(ad.concat([h, c], axis=1), (b, 1, 2 * hd)))
+        out.append(ad.reshape(h, (b, 1, hd)))
     return ad.concat(out, axis=1)
 
 
@@ -138,7 +154,7 @@ def test_lstm_sequence_matches_step_composite(rng):
     x = Tensor(rng.uniform(-2, 2, size=(2, 5, 3)), requires_grad=True)
     h0 = Tensor(rng.uniform(-1, 1, size=(2, 4)), requires_grad=True)
     c0 = Tensor(rng.uniform(-1, 1, size=(2, 4)), requires_grad=True)
-    weight = Tensor(rng.normal(size=(2, 5, 8)))  # scores the h and the c half
+    weight = Tensor(rng.normal(size=(2, 5, 4)))  # scores each hidden state
     inputs = [x, h0, c0, cell.W, cell.U, cell.b]
     runs = []
     for forward in (cell.sequence, lambda *a: _lstm_composite(cell, *a)):
@@ -153,22 +169,23 @@ def test_lstm_sequence_matches_step_composite(rng):
 
 def _reference_step(cell, pre_x, h, c):
     """One LSTM step with the numerically stable sigmoid of the autodiff
-    engine: pre_x = x @ W + b. Returns (acts, tanh(c'), [h'; c'])."""
+    engine: pre_x = x @ W + b. Returns (gates (4, n, h), tanh(c'), h', c')."""
     hd = cell.d_hidden
     gates = pre_x + h @ cell.U.data
     i, f, o = (ad._sigmoid(gates[:, k * hd:(k + 1) * hd]) for k in range(3))
     g = np.tanh(gates[:, 3 * hd:])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
-    hc = np.concatenate([o * tanh_c, c_new], axis=1)
-    return np.concatenate([i, f, o, g], axis=1), tanh_c, hc
+    return np.stack([i, f, o, g]), tanh_c, o * tanh_c, c_new
 
 
 def _run_step(cell, x, h, c):
+    """``step_into`` on inputs x (n, d_in): (acts (4, n, h), tanh(c'), h', c')."""
     n, hd = x.shape[0], cell.d_hidden
-    acts, tanh_c, hc = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, 2 * hd))
-    cell.step_into(cell.project(x), -cell.U.data, h, c, acts, tanh_c, hc)
-    return acts, tanh_c, hc
+    acts, tanh_c, h_new, c_new = (np.empty((4, n, hd)), np.empty((n, hd)),
+                                  np.empty((n, hd)), np.empty((n, hd)))
+    cell.step_into(cell.project(x), cell.neg_u(), h, c, acts, tanh_c, h_new, c_new)
+    return acts, tanh_c, h_new, c_new
 
 
 def test_lstm_step_matches_stable_sigmoid_reference(rng):
@@ -191,10 +208,142 @@ def test_lstm_step_saturates_exactly_without_warning(rng):
     c = np.array([[0.5] * 3, [0.5] * 3])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        acts, _, hc = _run_step(cell, x, np.zeros((2, 3)), c)
-    assert acts[0].tolist() == [1.0] * 12
-    assert acts[1].tolist() == [0.0] * 9 + [-1.0] * 3
-    np.testing.assert_array_equal(hc[:, 3:], [[1.5] * 3, [0.0] * 3])
+        acts, _, _, c_new = _run_step(cell, x, np.zeros((2, 3)), c)
+    assert acts[:, 0].ravel().tolist() == [1.0] * 12
+    assert acts[:, 1].ravel().tolist() == [0.0] * 9 + [-1.0] * 3
+    np.testing.assert_array_equal(c_new, [[1.5] * 3, [0.0] * 3])
+
+
+# The row-major LSTM that the gate-major layout replaced: every gate in one
+# (n, 4h) buffer, [h; c] in one (n, 2h) buffer, and a sequence node that
+# returned [h_t; c_t]. Kept as the bitwise oracle of LSTMCell's projection,
+# step and backward.
+
+def row_major_project(cell, x_rows):
+    """-(x_rows @ W + b), (n, 4h)."""
+    return x_rows @ -cell.W.data - cell.b.data
+
+
+def row_major_step_into(hd, xw_t, neg_u, h, c, acts, tanh_c, hc):
+    """From xw_t (n, 4h), neg_u = -U and h, c (n, h): the gates (i, f, o, g)
+    into acts (n, 4h), tanh(c') into tanh_c and [h'; c'] into hc (n, 2h)."""
+    hd3 = 3 * hd
+    np.matmul(h, neg_u, out=acts)
+    acts += xw_t
+    np.tanh(acts[:, hd3:], out=tanh_c)
+    with np.errstate(over="ignore"):
+        np.exp(acts, out=acts)
+    acts += 1.0
+    np.reciprocal(acts, out=acts)
+    np.negative(tanh_c, out=acts[:, hd3:])
+    c_new = hc[:, hd:]
+    np.multiply(acts[:, hd:2 * hd], c, out=c_new)
+    np.multiply(acts[:, :hd], acts[:, hd3:], out=tanh_c)
+    c_new += tanh_c
+    np.tanh(c_new, out=tanh_c)
+    np.multiply(acts[:, 2 * hd:hd3], tanh_c, out=hc[:, :hd])
+
+
+def row_major_step(cell, x, h, c):
+    """One step on inputs x (n, d_in): (acts (n, 4h), tanh(c'), h', c')."""
+    n, hd = x.shape[0], cell.d_hidden
+    acts, tanh_c, hc = np.empty((n, 4 * hd)), np.empty((n, hd)), np.empty((n, 2 * hd))
+    row_major_step_into(hd, row_major_project(cell, x), -cell.U.data, h, c, acts, tanh_c, hc)
+    return acts, tanh_c, hc[:, :hd], hc[:, hd:]
+
+
+def row_major_sequence(cell, x, h0, c0, g_h):
+    """The sequence over x (b, L, d_in) and its backward for the gradient
+    g_h (b, L, h) of the hidden states, the c half's gradient being zero.
+    Returns [h states (b, L, h), then the grads of x, h0, c0, W, U, b]."""
+    hd = cell.d_hidden
+    b, L, d = x.shape
+    W, U = cell.W.data, cell.U.data
+    x_rows = x.transpose(1, 0, 2).reshape(L * b, d)
+    xw = row_major_project(cell, x_rows).reshape(L, b, 4 * hd)
+    acts, tanh_c = np.empty((L, b, 4 * hd)), np.empty((L, b, hd))
+    hc = np.empty((L + 1, b, 2 * hd))
+    hc[0, :, :hd], hc[0, :, hd:] = h0, c0
+    for t in range(L):
+        row_major_step_into(hd, xw[t], -U, hc[t, :, :hd], hc[t, :, hd:], acts[t], tanh_c[t],
+                            hc[t + 1])
+    g = np.concatenate([g_h, np.zeros_like(g_h)], axis=2).transpose(1, 0, 2)
+    d_gates = np.empty((L, b, 4 * hd))
+    dh, dc = np.zeros((b, hd)), np.zeros((b, hd))
+    for t in reversed(range(L)):
+        i, f, o, gg = (acts[t, :, k * hd:(k + 1) * hd] for k in range(4))
+        tc = tanh_c[t]
+        dh = dh + g[t, :, :hd]
+        dc = dc + g[t, :, hd:] + dh * o * (1.0 - tc * tc)
+        dg = d_gates[t]
+        dg[:, :hd] = dc * gg * i * (1.0 - i)
+        dg[:, hd:2 * hd] = dc * hc[t, :, hd:] * f * (1.0 - f)
+        dg[:, 2 * hd:3 * hd] = dh * tc * o * (1.0 - o)
+        dg[:, 3 * hd:] = dc * i * (1.0 - gg * gg)
+        dh, dc = dg @ U.T, dc * f
+    flat = d_gates.reshape(L * b, 4 * hd)
+    return [hc[1:, :, :hd].transpose(1, 0, 2),
+            (flat @ W.T).reshape(L, b, d).transpose(1, 0, 2), dh, dc,
+            x_rows.T @ flat, hc[:-1, :, :hd].reshape(L * b, hd).T @ flat, flat.sum(axis=0)]
+
+
+def _saturate(x):
+    """Rows 1 and 2, where present, at +800 and -800: with |W| up to 1 many
+    pre-activations pass the point where exp overflows."""
+    x[1:2], x[2:3] = 800.0, -800.0
+    return x
+
+
+@pytest.mark.parametrize("d, hd", [(5, 3), (5, 16), (16, 64), (24, 64), (56, 64)])
+def test_gate_major_lstm_bitwise_equals_row_major_oracle(d, hd):
+    """For every row count from 1 to 65 (greedy decode's live rows) the
+    projection, gates, tanh(c'), h' and c' of one step, and for L in
+    {1, 5, 12} the hidden states and all six grads of a sequence, carry the
+    row-major oracle's bytes. (16, 24, 56) x 64 are the input and hidden
+    widths of the models' LSTMs.
+
+    This also guards the BLAS property the layout relies on: each block of
+    a batched matmul has the bits of its columns of the one row-major GEMM.
+    With OpenBLAS that holds when the width is a multiple of 8; at width 3
+    some blocks run another kernel and agree only to rounding."""
+    rng = np.random.default_rng(hd)
+    cell = layers.LSTMCell(d, hd, rng)
+    cell.W.data[...] = rng.uniform(-1.0, 1.0, size=cell.W.shape)
+    params = [cell.W, cell.U, cell.b]
+
+    def same(got, want):
+        if hd % 8 == 0:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def gate_major(a):      # (n, 4h) -> (4, n, h)
+        return a.reshape(len(a), 4, hd).transpose(1, 0, 2)
+
+    for n in range(1, 66):
+        x = _saturate(rng.normal(size=(n, d)))
+        h, c = rng.uniform(-1.0, 1.0, size=(2, n, hd))
+        same(cell.project(x), gate_major(row_major_project(cell, x)))
+        new = _run_step(cell, x, h, c)
+        old = row_major_step(cell, x, h, c)
+        same(new[0], gate_major(old[0]))
+        for got, want in zip(new[1:], old[1:]):
+            same(got, want)
+        if n >= 3:      # some gates of the saturated rows are exactly 0 and 1
+            assert (new[0][:3, 1:3] == 0.0).any() and (new[0][:3, 1:3] == 1.0).any()
+    for L in (1, 5, 12):
+        for n in range(1, 66):
+            x = _saturate(rng.normal(size=(n, L, d)))
+            h0, c0 = rng.uniform(-1.0, 1.0, size=(2, n, hd))
+            g_h = rng.normal(size=(n, L, hd))
+            inputs = [Tensor(a, requires_grad=True) for a in (x, h0, c0)]
+            for p in params:
+                p.zero_grad()
+            out = cell.sequence(*inputs)
+            ad.sum(out * Tensor(g_h)).backward()
+            new = [out.data] + [t.grad for t in inputs + params]
+            for got, want in zip(new, row_major_sequence(cell, x, h0, c0, g_h)):
+                same(got, want)
 
 
 def test_cross_entropy_uniform():
