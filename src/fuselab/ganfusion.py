@@ -32,7 +32,7 @@ class ModuleForward:
     z_g: Tensor
     z_tr: Tensor
     inner_loss: Tensor
-    fake_logits: np.ndarray | None = None   # D(z_g), kept by compose's generator loss
+    fake_logits: np.ndarray | None = None   # D(z_g), kept by generator_loss
 
 
 class GanFusionModule(Module):
@@ -89,13 +89,12 @@ class GanFusionModule(Module):
         d_fake = self.discriminator(z_g.detach())
         return ad.mean_softplus(d_real, sign=-1.0) + ad.mean_softplus(d_fake)
 
-    def generator_loss(self, z_g: Tensor, forward: ModuleForward | None = None) -> Tensor:
-        """Non-saturating -mean log D(z_g) by default; the literal minimax
-        mean log(1 - D(z_g)) when the module was built saturating. With a
-        forward given, D's logits on z_g are kept in its fake_logits."""
-        d_fake = self.discriminator(z_g, frozen=True)
-        if forward is not None:
-            forward.fake_logits = d_fake.data
+    def generator_loss(self, forward: ModuleForward) -> Tensor:
+        """Non-saturating -mean log D(z_g) of the forward's z_g by default;
+        the literal minimax mean log(1 - D(z_g)) when the module was built
+        saturating. D's logits on z_g are kept in forward.fake_logits."""
+        d_fake = self.discriminator(forward.z_g, frozen=True)
+        forward.fake_logits = d_fake.data
         if self.saturating:
             return -ad.mean_softplus(d_fake)
         return ad.mean_softplus(d_fake, sign=-1.0)
@@ -160,7 +159,7 @@ class GanFusionStack(Module):
         terms = []
         for f in forwards:
             module = self.modules[f.name]
-            term = module.generator_loss(f.z_g, f)
+            term = module.generator_loss(f)
             terms.append(term if module.inner is None else term + f.inner_loss)
         return FusionOutput(z_fuse=z_fuse, j_fusion=sum(terms[1:], terms[0]))
 

@@ -211,7 +211,7 @@ def gradcheck_cases():
                                   text_states=Tensor(np.zeros((3, 1, 2))),
                                   text_mask=np.ones((3, 1)))
             fwd = mod.gan_forward(bundle, None)
-            return mod.generator_loss(fwd.z_g) + ad.sum(sq(fwd.z_g))
+            return mod.generator_loss(fwd) + ad.sum(sq(fwd.z_g))
 
         return (fn, [zt, zs, mod.generator.fc1.W, mod.generator.fc2.W])
 

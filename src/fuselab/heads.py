@@ -146,15 +146,16 @@ class AttentiveDecoder(Module):
         z, st = z_fuse.data, states.data
         h = np.tanh(z @ self.bridge.W.data + self.bridge.b.data)
         c = np.zeros(h.shape)
-        table = None if self.condition_every_step else self.cell.project(self.embed.table.data)
-        neg_u = self.cell.neg_u()
+        neg_w, neg_u = self.cell.neg_weights()
+        table = (None if self.condition_every_step
+                 else self.cell.project(self.embed.table.data, neg_w))
         b = z.shape[0]
         tokens = np.zeros((b, max_len), dtype=np.int64)
         length = np.full(b, max_len)
         rows = np.arange(b)                    # batch row of each live row
         prev = np.full(b, SOS, dtype=np.int64)
         for t in range(max_len):
-            logits, h, c = self._array_step(prev, h, c, z, st, bias, table, neg_u)
+            logits, h, c = self._array_step(prev, h, c, z, st, bias, table, neg_u, neg_w)
             prev = logits.argmax(axis=1)
             tokens[rows, t] = prev
             ended = prev == EOS
@@ -167,27 +168,26 @@ class AttentiveDecoder(Module):
                     a[live] for a in (rows, prev, h, c, z, st, bias))
         return [tokens[i, :length[i]].tolist() for i in range(b)]
 
-    def _array_step(self, prev, h, c, z, states, bias, table, neg_u):
+    def _array_step(self, prev, h, c, z, states, bias, table, neg_u, neg_w):
         """One decoder step on arrays: prev (n,), h, c (n, h), z (n, d_fuse),
         states (n, L, eh), bias (n, 1, L) -> (logits (n, V), h', c').
-        ``decode_greedy`` passes what it makes once per batch: ``neg_u``,
-        -U in gate blocks, and ``table``, the gate-major LSTM input
+        ``decode_greedy`` passes what it makes once per batch: neg_u, neg_w
+        (``cell.neg_weights()``) and ``table``, the gate-major LSTM input
         projection of the vocabulary (4, V, h), whose columns table[:, prev]
-        the step gathers. With ``table=None``, every op and operand layout is
-        that of the graph step (``cell.sequence`` of length one, then
-        ``_readout``), so the results are bitwise equal."""
+        the step gathers. With ``table=None``, the step projects its input,
+        and every op and operand layout is that of the graph step
+        (``cell.sequence`` of length one, then ``_readout``), so the results
+        are bitwise equal."""
         hd = self.hidden
         if table is None:
             x = self.embed.table.data[prev]
             if self.condition_every_step:
                 x = np.concatenate([x, z], axis=1)
-            xw = self.cell.project(x)
+            xw = self.cell.project(x, neg_w)
         else:
             xw = table[:, prev]
-        n = xw.shape[1]
-        h_new, c_new = np.empty((n, hd)), np.empty((n, hd))
-        self.cell.step_into(xw, neg_u, h, c, np.empty((4, n, hd)), np.empty((n, hd)),
-                            h_new, c_new)
+        h_new, c_new, tanh_c = np.empty((3, xw.shape[1], hd))
+        self.cell.step_into(xw, neg_u, h, c, np.empty(xw.shape), tanh_c, h_new, c_new)
         return self._attend(h_new, states, bias)[0], h_new, c_new
 
 

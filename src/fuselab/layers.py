@@ -154,8 +154,8 @@ class LSTMCell(Module):
         W, U, bias = self.W, self.U, self.b
         # time-major buffers, so each step reads and writes contiguous blocks
         x_rows = x.data.transpose(1, 0, 2).reshape(L * b, d)
-        xw = self.project(x_rows).reshape(4, L, b, hd)
-        neg_u = self.neg_u()
+        neg_w, neg_u = self.neg_weights()
+        xw = self.project(x_rows, neg_w).reshape(4, L, b, hd)
         acts = np.empty((L, 4, b, hd))      # i, f, o, g after their nonlinearity
         tanh_c = np.empty((L, b, hd))
         H, C = np.empty((L + 1, b, hd)), np.empty((L + 1, b, hd))  # before step 0, then after each
@@ -189,34 +189,33 @@ class LSTMCell(Module):
 
         return ad._make(H[1:].transpose(1, 0, 2), (x, h0, c0, W, U, bias), bw)
 
-    def _gate_blocks(self, m: np.ndarray) -> np.ndarray:
-        """The columns of m (k, 4h) as per-gate blocks (4, k, h)."""
-        return np.ascontiguousarray(m.reshape(len(m), 4, self.d_hidden).transpose(1, 0, 2))
+    def neg_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """-W (4, d_in, h) and -U (4, h, h) in gate-major blocks, as ``project``
+        and ``step_into`` take them; made once per sequence or decode."""
+        return tuple(np.ascontiguousarray(-m.data.reshape(len(m.data), 4, self.d_hidden)
+                                          .transpose(1, 0, 2)) for m in (self.W, self.U))
 
-    def project(self, x_rows: np.ndarray) -> np.ndarray:
+    def project(self, x_rows: np.ndarray, neg_w: np.ndarray) -> np.ndarray:
         """The negated input projection that ``step_into`` takes:
         -(x_rows @ W + b) in gate-major blocks (4, n, h)."""
-        xw = np.matmul(x_rows, self._gate_blocks(-self.W.data))
+        xw = np.matmul(x_rows, neg_w)
         xw -= self.b.data.reshape(4, 1, self.d_hidden)
         return xw
-
-    def neg_u(self) -> np.ndarray:
-        """-U in gate-major blocks (4, h, h), as ``step_into`` takes it."""
-        return self._gate_blocks(-self.U.data)
 
     def step_into(self, xw_t: np.ndarray, neg_u: np.ndarray, h: np.ndarray,
                   c: np.ndarray, acts: np.ndarray, tanh_c: np.ndarray,
                   h_new: np.ndarray, c_new: np.ndarray) -> None:
         """One step on arrays, the gate math of every LSTM path.
 
-        From xw_t = ``project(x_t)`` (4, n, h), neg_u = ``neg_u()`` and the
-        state h, c (n, h), acts (4, n, h) first holds the negated
-        pre-activations -(x_t @ W + b + h @ U), written gate by gate by one
-        batched matmul. Writes the gates after their nonlinearity (i, f, o,
-        g) into acts, tanh(c') into tanh_c and h', c' into h_new, c_new
-        (n, h each); h and c are read before those are written. Every pass
-        runs in place on contiguous blocks: tanh(g) = -tanh(acts[3]), and
-        the sigmoid 1 / (1 + exp(acts[:3])) of the other three gates.
+        From xw_t = ``project(x_t, neg_w)`` (4, n, h), neg_u (both from
+        ``neg_weights()``) and the state h, c (n, h), acts (4, n, h) first
+        holds the negated pre-activations -(x_t @ W + b + h @ U), written
+        gate by gate by one batched matmul. Writes the gates after their
+        nonlinearity (i, f, o, g) into acts, tanh(c') into tanh_c and h', c'
+        into h_new, c_new (n, h each); h and c are read before those are
+        written. Every pass runs in place on contiguous blocks: tanh(g) =
+        -tanh(acts[3]), and the sigmoid 1 / (1 + exp(acts[:3])) of the other
+        three gates.
         """
         np.matmul(h, neg_u, out=acts)
         acts += xw_t
@@ -235,7 +234,8 @@ class LSTMCell(Module):
         np.multiply(o, tanh_c, out=h_new)
 
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        return Tensor(np.zeros((batch, self.d_hidden))), Tensor(np.zeros((batch, self.d_hidden)))
+        z = np.zeros((batch, self.d_hidden))
+        return Tensor(z.copy()), Tensor(z.copy())
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -7,7 +7,7 @@ from fuselab import autodiff as ad
 from fuselab import layers
 from fuselab.autodiff import Tensor
 from fuselab.encoders import LatentBundle
-from fuselab.ganfusion import FusionUnavailableError, GanFusionStack
+from fuselab.ganfusion import FusionUnavailableError, GanFusionStack, ModuleForward
 from fuselab.gradcheck import check_gradients
 
 
@@ -25,6 +25,11 @@ def make_bundle(rng, dims, batch=4):
         states = Tensor(rng.normal(size=(batch, 3, dims["text"])))
         mask = np.ones((batch, 3))
     return LatentBundle(latents=latents, text_states=states, text_mask=mask)
+
+
+def forward_of(z_g):
+    """A module forward that carries only z_g, for the generator loss."""
+    return ModuleForward("text", z_g, None, None)
 
 
 def make_stack(rng, dims, d_fuse=6, sigma=1.0, saturating=False):
@@ -138,7 +143,7 @@ def test_generator_loss_values(rng):
         mod = stack.modules["text"]
         for p in mod.discriminator.parameters().values():
             p.data[...] = 0.0
-        assert mod.generator_loss(z_g).item() == pytest.approx(want, abs=1e-12)
+        assert mod.generator_loss(forward_of(z_g)).item() == pytest.approx(want, abs=1e-12)
 
 
 def test_mean_softplus_exact_at_extreme_logits():
@@ -162,7 +167,7 @@ def test_generator_gets_gradient_from_confident_discriminator(rng):
     d.fc1.W.data[0, 0] = d.fc2.W.data[0, 0] = 1.0     # logit = z_g[:, 0] - 40
     d.fc2.b.data[...] = -40.0
     z_g = Tensor(np.full((4, 6), 0.5), requires_grad=True)
-    loss = stack.modules["text"].generator_loss(z_g)
+    loss = stack.modules["text"].generator_loss(forward_of(z_g))
     assert loss.item() == pytest.approx(39.5, rel=1e-15)
     loss.backward()
     np.testing.assert_allclose(z_g.grad[:, 0], -0.25, rtol=1e-15)
@@ -193,7 +198,7 @@ def test_generator_loss_gradient_isolation(rng):
     bundle = make_bundle(rng, dims)
     fwd = stack.modules["text"].gan_forward(bundle, rng)
     stack.zero_grads()
-    stack.modules["text"].generator_loss(fwd.z_g).backward()
+    stack.modules["text"].generator_loss(fwd).backward()
     for name, p in stack.parameters().items():
         if name.startswith("text.generator."):
             assert p.grad is not None, name
@@ -212,7 +217,7 @@ def test_fusion_loss_sums_modules_and_inner_losses(rng):
     out = stack.compose(forwards)
     expect = 0.0
     for f in forwards:
-        expect += stack.modules[f.name].generator_loss(f.z_g).item()
+        expect += stack.modules[f.name].generator_loss(f).item()
         expect += f.inner_loss.item()
     assert out.j_fusion.item() == pytest.approx(expect, rel=1e-12)
 
@@ -229,7 +234,7 @@ def test_gan_module_gradcheck(rng):
                               text_states=Tensor(np.zeros((2, 1, 4))),
                               text_mask=np.ones((2, 1)))
         fwd = mod.gan_forward(bundle, None)
-        return mod.generator_loss(fwd.z_g) + ad.sum(fwd.z_tr * fwd.z_tr)
+        return mod.generator_loss(fwd) + ad.sum(fwd.z_tr * fwd.z_tr)
 
     params = [t for n, t in sorted(mod.parameters().items())
               if not n.startswith("discriminator.")]

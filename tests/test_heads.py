@@ -58,7 +58,8 @@ def decode_step(dec, prev_tokens, h, c, z_fuse, states, mask):
     b, hd = len(prev_tokens), dec.hidden
     x = dec._inputs(np.asarray(prev_tokens)[:, None], z_fuse)
     c_new = np.empty((b, hd))
-    dec.cell.step_into(dec.cell.project(x.data[:, 0]), dec.cell.neg_u(), h.data, c.data,
+    neg_w, neg_u = dec.cell.neg_weights()
+    dec.cell.step_into(dec.cell.project(x.data[:, 0], neg_w), neg_u, h.data, c.data,
                        np.empty((4, b, hd)), np.empty((b, hd)), np.empty((b, hd)), c_new)
     h = ad.reshape(dec.cell.sequence(x, h, c), (b, hd))
     logits = dec._readout(ad.reshape(h, (b, 1, hd)), states, mask)
@@ -298,12 +299,12 @@ def test_array_step_bitwise_equals_decode_step(condition_every_step, width):
     z = Tensor(rng.normal(size=(b, 32)))
     h, c = dec.init_state(z)
     h_arr, c_arr = h.data, c.data
-    bias, neg_u = heads._mask_bias(mask), dec.cell.neg_u()
+    bias, (neg_w, neg_u) = heads._mask_bias(mask), dec.cell.neg_weights()
     prev = np.full(b, SOS)
     for _ in range(5):
         logits, h, c, _ = decode_step(dec, prev, h, c, z, states, mask)
         logits_arr, h_arr, c_arr = dec._array_step(prev, h_arr, c_arr, z.data,
-                                                   states.data, bias, None, neg_u)
+                                                   states.data, bias, None, neg_u, neg_w)
         for graph, arr in ((logits, logits_arr), (h, h_arr), (c, c_arr)):
             assert graph.data.tobytes() == np.ascontiguousarray(arr).tobytes()
         prev = logits_arr.argmax(axis=1)
@@ -317,14 +318,15 @@ def test_array_step_table_rows_match_per_step_projection(b):
     states = rng.normal(size=(b, 7, 65))
     bias = heads._mask_bias(np.ones((b, 7)))
     z = rng.normal(size=(b, 32))
-    table, neg_u = dec.cell.project(dec.embed.table.data), dec.cell.neg_u()
+    neg_w, neg_u = dec.cell.neg_weights()
+    table = dec.cell.project(dec.embed.table.data, neg_w)
     h, c = (t.data for t in dec.init_state(Tensor(z)))
     h_tab, c_tab = h, c
     prev = np.full(b, SOS)
     for _ in range(5):
-        logits, h, c = dec._array_step(prev, h, c, z, states, bias, None, neg_u)
+        logits, h, c = dec._array_step(prev, h, c, z, states, bias, None, neg_u, neg_w)
         logits_tab, h_tab, c_tab = dec._array_step(prev, h_tab, c_tab, z, states, bias,
-                                                   table, neg_u)
+                                                   table, neg_u, neg_w)
         np.testing.assert_allclose(logits_tab, logits, rtol=0, atol=1e-12)
         prev = logits.argmax(axis=1)
 

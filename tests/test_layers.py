@@ -184,7 +184,8 @@ def _run_step(cell, x, h, c):
     n, hd = x.shape[0], cell.d_hidden
     acts, tanh_c, h_new, c_new = (np.empty((4, n, hd)), np.empty((n, hd)),
                                   np.empty((n, hd)), np.empty((n, hd)))
-    cell.step_into(cell.project(x), cell.neg_u(), h, c, acts, tanh_c, h_new, c_new)
+    neg_w, neg_u = cell.neg_weights()
+    cell.step_into(cell.project(x, neg_w), neg_u, h, c, acts, tanh_c, h_new, c_new)
     return acts, tanh_c, h_new, c_new
 
 
@@ -323,7 +324,7 @@ def test_gate_major_lstm_bitwise_equals_row_major_oracle(d, hd):
     for n in range(1, 66):
         x = _saturate(rng.normal(size=(n, d)))
         h, c = rng.uniform(-1.0, 1.0, size=(2, n, hd))
-        same(cell.project(x), gate_major(row_major_project(cell, x)))
+        same(cell.project(x, cell.neg_weights()[0]), gate_major(row_major_project(cell, x)))
         new = _run_step(cell, x, h, c)
         old = row_major_step(cell, x, h, c)
         same(new[0], gate_major(old[0]))
