@@ -159,6 +159,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_range(args, "seed")
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     worst, failed = run_gradchecks(args.repeats, args.seed)

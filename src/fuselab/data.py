@@ -299,11 +299,12 @@ def read_dataset(path) -> list[RawSample]:
                     label = int(label_or_target)
                 except ValueError as exc:
                     raise SchemaError(f"{where}: class label: {exc}") from None
+            # a field of whitespace alone holds no token: it reads as missing
             samples.append(RawSample(
                 topic=topic_id,
                 label=label,
-                target_tokens=None if label is not None else label_or_target.split(),
-                text_tokens=text.split() if text else None,
+                target_tokens=None if label is not None else label_or_target.split() or None,
+                text_tokens=text.split() or None,
                 speech=_parse_vector(speech, "speech", widths, where),
                 video=_parse_vector(video, "video", widths, where),
             ))

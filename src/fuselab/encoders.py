@@ -39,18 +39,42 @@ class TextEncoder(Module):
 
     def __call__(self, token_ids: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
         """Returns (z_t (b,h), states (b,L,h), mask (b,L))."""
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        b, L = token_ids.shape
-        if np.any(lengths < 1) or np.any(lengths > L):
-            raise ValueError("sequence lengths must lie in [1, L]")
-        mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
-
+        token_ids, lengths, mask = _checked(token_ids, lengths)
         # The LSTM is causal: steps past a row's length never reach its earlier
         # states, so padding runs through the cell and is masked out afterwards.
-        hs = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(b))
+        hs = self.cell.sequence(self.embed(token_ids), *self.cell.zero_state(token_ids.shape[0]))
         states = hs * Tensor(mask[:, :, None])
         return self._last_states(states, lengths), states, mask
+
+    def infer(self, token_ids: np.ndarray, lengths: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
+        """``__call__``'s outputs for inference, computed on arrays without a
+        graph node; z and every state inside a sentence have the same bits.
+
+        The rows run longest first, so the rows still inside their sentence
+        at step t are a prefix, and step t runs only those, but never fewer
+        than two: BLAS multiplies a single row by -U on its matrix-vector
+        path, whose bits differ. States past a row's length are +0.0, where
+        ``__call__`` has a zero of either sign. Raises what ``__call__``
+        raises.
+        """
+        token_ids, lengths, mask = _checked(token_ids, lengths)
+        b, L = token_ids.shape
+        cell, hd = self.cell, self.cell.d_hidden
+        order = np.argsort(-lengths, kind="stable")
+        x = self.embed.lookup(token_ids[order].T)               # (L, b, d), time-major
+        neg_w, neg_u = cell.neg_weights()
+        xw = cell.project(x.reshape(L * b, -1), neg_w).reshape(4, L, b, hd)
+        H = np.zeros((L + 1, b, hd))            # h before step 0, then after each
+        c, tanh_c, acts = np.zeros((b, hd)), np.empty((b, hd)), np.empty((4, b, hd))
+        for t, n in enumerate((lengths[:, None] > np.arange(L)).sum(axis=0).tolist()):
+            k = min(b, max(n, 2))
+            cell.step_into(xw[:, t, :k], neg_u, H[t, :k], c[:k], acts[:, :k], tanh_c[:k],
+                           H[t + 1, :k], c[:k])
+            H[t + 1, n:k] = 0.0                 # a row past its length, run to keep two
+        states = np.empty((b, L, hd))
+        states[order] = H[1:].transpose(1, 0, 2)
+        z = states[np.arange(b), lengths - 1]
+        return Tensor(z), Tensor(states), mask
 
     @staticmethod
     def _last_states(states: Tensor, lengths: np.ndarray) -> Tensor:
@@ -63,6 +87,17 @@ class TextEncoder(Module):
             states._accumulate(full)
 
         return ad._make(states.data[rows], (states,), bw)
+
+
+def _checked(token_ids, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token ids (b, L) and lengths as int64 arrays, and the (b, L) mask of
+    the positions inside each sentence; a length outside [1, L] raises."""
+    token_ids = np.asarray(token_ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, L = token_ids.shape
+    if np.any(lengths < 1) or np.any(lengths > L):
+        raise ValueError("sequence lengths must lie in [1, L]")
+    return token_ids, lengths, (np.arange(L)[None, :] < lengths[:, None]).astype(np.float64)
 
 
 class VectorEncoder(Module):

@@ -210,6 +210,11 @@ class FusionModel(layers.Module):
 
     # -- forward pieces ------------------------------------------------------
     def encode(self, batch: Batch) -> LatentBundle:
+        return self._encode(batch, inference=False)
+
+    def _encode(self, batch: Batch, inference: bool) -> LatentBundle:
+        """The latents of every present modality; with inference, text runs
+        through the encoder's graph-free forward."""
         latents: dict[str, Tensor] = {}
         states = mask = None
         if "video" in self.latent_dims:
@@ -217,7 +222,8 @@ class FusionModel(layers.Module):
         if "speech" in self.latent_dims:
             latents["speech"] = self.speech_enc(batch.speech)
         if "text" in self.latent_dims:
-            z, states, mask = self.text_enc(batch.text_ids, batch.lengths)
+            text_forward = self.text_enc.infer if inference else self.text_enc
+            z, states, mask = text_forward(batch.text_ids, batch.lengths)
             latents["text"] = z
         return LatentBundle(latents=latents, text_states=states, text_mask=mask)
 
@@ -250,7 +256,7 @@ class FusionModel(layers.Module):
     def _predict(self, batch: Batch) -> tuple[list, dict[str, Tensor]]:
         """Predictions plus the GAN-Fusion generator outputs z_g they were
         made from (empty for other fusions). No fusion loss is computed."""
-        bundle = self.encode(batch)
+        bundle = self._encode(batch, inference=True)
         z_g: dict[str, Tensor] = {}
         if self.cfg.fusion == "gan":
             z_g = self.fusion.generate(bundle)
@@ -488,7 +494,7 @@ def _check_data_info(cfg: ExperimentConfig, info: DataInfo,
             raise ckpt_io.CheckpointError(f"checkpoint [data] block: no {key} line")
 
 
-EVAL_BATCH = 64         # rows per forward pass in evaluate_model
+EVAL_BATCH = 128        # rows per forward pass in evaluate_model
 
 
 def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
@@ -497,7 +503,11 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
     evaluation. A GAN model that reads text also gets the silhouette of its
     text z_g by topic, when the set holds at least two topics. A word-drop
     probability outside [0, 1] raises ValueError, whether or not the model
-    reads text."""
+    reads text.
+
+    A model that reads text predicts its rows longest source first, so each
+    batch holds sentences of similar length; every row's prediction and z_g
+    are those of input order, and are put back in it before scoring."""
     if not 0.0 <= word_drop_p <= 1.0:
         raise ValueError(f"word-drop probability must lie in [0, 1], got {word_drop_p}")
     cfg = model.cfg
@@ -507,14 +517,19 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
         for r in rows:
             r["text"] = apply_word_drop(r["text"], word_drop_p, drop_rng)
 
+    order = np.arange(len(rows))
+    if "text" in cfg.modalities:
+        order = np.argsort([-len(r["text"]) for r in rows], kind="stable")
     preds: list = []
     text_zg: list[np.ndarray] = []
     for start in range(0, len(rows), EVAL_BATCH):
-        batch = make_batch(rows[start:start + EVAL_BATCH], cfg)
+        batch = make_batch([rows[i] for i in order[start:start + EVAL_BATCH]], cfg)
         batch_preds, z_g = model._predict(batch)
         preds.extend(batch_preds)
         if "text" in z_g:
             text_zg.append(z_g["text"].data)
+    position = np.argsort(order)        # where each input row was predicted
+    preds = [preds[j] for j in position]
 
     metrics: dict[str, float] = {}
     if cfg.task == "classification":
@@ -529,7 +544,7 @@ def evaluate_model(model: FusionModel, info: DataInfo, samples: list[RawSample],
                        brevity_penalty=report.brevity_penalty)
     topics = np.array([r["topic"] for r in rows])
     if text_zg and len(np.unique(topics)) >= 2:
-        metrics["silhouette"] = silhouette(np.vstack(text_zg), topics)
+        metrics["silhouette"] = silhouette(np.vstack(text_zg)[position], topics)
     return metrics
 
 

@@ -108,10 +108,8 @@ class Embedding(Module):
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
-            raise IndexError(f"token id out of vocabulary (size {self.vocab_size})")
         table = self.table
-        out_data = table.data[ids]
+        out_data = self.lookup(ids)
 
         def bw(g):
             full = np.zeros_like(table.data)
@@ -119,6 +117,13 @@ class Embedding(Module):
             table._accumulate(full)
 
         return ad._make(out_data, (table,), bw)
+
+    def lookup(self, ids: np.ndarray) -> np.ndarray:
+        """The table rows of ids, as an array; an id outside the table
+        raises IndexError."""
+        if ids.min(initial=0) < 0 or ids.max(initial=0) >= self.vocab_size:
+            raise IndexError(f"token id out of vocabulary (size {self.vocab_size})")
+        return self.table.data[ids]
 
 
 class LSTMCell(Module):

@@ -169,6 +169,13 @@ def test_out_of_range_flag_names_the_flag(tmp_path, capsys, argv, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "-9999999999"])
+def test_gradcheck_seed_out_of_range_names_the_flag(capsys, seed):
+    assert main(["gradcheck", "--seed", seed, "--repeats", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --seed must be finite and >= 0, got {seed}\n")
+
+
 def test_bad_config_file_value_names_the_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs = abc\n")
@@ -278,9 +285,11 @@ def test_bad_speech_vector_exit_code_1(workdir, tmp_path, capsys, edit, message)
     assert f"{bad}:6: {message}" in capsys.readouterr().err
 
 
-def _edit_column(src, dst, column, edit):
+def _edit_column(src, dst, column, edit, rows=None):
+    """Copy src to dst with edit applied to one column of the given data
+    rows (line numbers, the header being line 1), or of every row."""
     lines = src.read_text().splitlines()
-    for i in range(1, len(lines)):
+    for i in range(1, len(lines)) if rows is None else [r - 1 for r in rows]:
         fields = lines[i].split("\t")
         fields[column] = edit(fields[column])
         lines[i] = "\t".join(fields)
@@ -304,6 +313,10 @@ def misfit_paths(workdir):
     _edit_column(mt / "test.tsv", root / "narrow.tsv", 3,
                  lambda v: ",".join(v.split(",")[:3]))
     (root / "empty.tsv").write_text(SCHEMA_HEADER + "\n")
+    # one row whose text or target is whitespace alone, which holds no token
+    _edit_column(mt / "train.tsv", root / "blank_text.tsv", 2, lambda v: " ", rows=[4])
+    _edit_column(mt / "val.tsv", root / "blank_val_text.tsv", 2, lambda v: "  ", rows=[3])
+    _edit_column(mt / "test.tsv", root / "blank_target.tsv", 1, lambda v: " ", rows=[5])
     assert main(["train", "--task", "translation", "--fusion", "concat",
                  "--epochs", "1", "--train-path", str(mt / "train.tsv"),
                  "--val-path", str(mt / "val.tsv"), "--out-dir", str(root)]) == 0
@@ -319,6 +332,9 @@ def misfit_paths(workdir):
             "big_label": str(root / "big_label.tsv"),
             "huge_label": str(root / "huge_label.tsv"),
             "narrow": str(root / "narrow.tsv"), "empty": str(root / "empty.tsv"),
+            "blank_text": str(root / "blank_text.tsv"),
+            "blank_val_text": str(root / "blank_val_text.tsv"),
+            "blank_target": str(root / "blank_target.tsv"),
             "ckpt": str(root / "checkpoint.bin"),
             "cls_ckpt": str(root / "cls_run" / "checkpoint.bin")}
 
@@ -346,6 +362,14 @@ MISFITS = {
     "val_label_beyond_train_classes": (TRAIN + [
         "--task", "classification", "--train-path", "{cls}", "--val-path", "{big_label}"],
         "big_label"),
+    "blank_text_train_row": (TRAIN + [
+        "--task", "translation", "--train-path", "{blank_text}", "--val-path", "{mt_val}"],
+        "blank_text"),
+    "blank_text_val_row": (TRAIN + [
+        "--task", "translation", "--train-path", "{mt}", "--val-path", "{blank_val_text}"],
+        "blank_val_text"),
+    "eval_blank_target_row": (
+        ["eval", "--checkpoint", "{ckpt}", "--dataset", "{blank_target}"], "blank_target"),
     "empty_train_set": (TRAIN + [
         "--task", "translation", "--train-path", "{empty}", "--val-path", "{mt_val}"], "empty"),
     "ablate_translation_on_classification_tsv": (

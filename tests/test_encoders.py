@@ -163,3 +163,34 @@ def test_vector_encoder_matches_affine_then_tanh_bitwise(rng):
     out = ad.tanh(enc.proj(Tensor((feats - enc.norm_mean) / enc.norm_std)))
     old = [out.data.tobytes()] + grads_of(params, ad.sum(out * w))
     assert new == old
+
+
+@pytest.mark.parametrize("lengths", [[3, 9, 1, 7, 9, 2, 5, 4], [6], [5, 5, 5], [9, 1]],
+                         ids=["unsorted_ragged", "one_row", "equal_lengths", "long_and_one"])
+def test_infer_equals_call_bitwise(rng, lengths):
+    """At the model's widths, infer gives __call__'s bytes in z, states and
+    mask. A state past a row's length is +0.0 from infer and a zero of
+    either sign from __call__, so states are compared after adding +0.0.
+    With lengths (L, 1), one row is live for L - 1 steps, which the two-row
+    floor keeps off the matrix-vector path."""
+    enc = TextEncoder(vocab_size=30, embed_dim=16, hidden=64, rng=rng)
+    lengths = np.array(lengths)
+    ids = rng.integers(0, 30, size=(len(lengths), lengths.max() + 1))
+    z, states, mask = enc(ids, lengths)
+    z_i, states_i, mask_i = enc.infer(ids, lengths)
+    assert not (z_i.requires_grad or states_i.requires_grad)
+    assert [z_i.data.tobytes(), states_i.data.tobytes(), mask_i.tobytes()] == \
+        [z.data.tobytes(), (states.data + 0.0).tobytes(), mask.tobytes()]
+
+
+@pytest.mark.parametrize("ids, lengths", [([[4, 5]], [0]), ([[4, 5], [6, 7]], [2, 3]),
+                                          ([[4, 5], [6, 10]], [2, 2])],
+                         ids=["length_zero", "length_past_L", "id_out_of_vocab"])
+def test_infer_raises_what_call_raises(rng, ids, lengths):
+    enc = TextEncoder(vocab_size=10, embed_dim=4, hidden=8, rng=rng)
+    raised = []
+    for forward in (enc, enc.infer):
+        with pytest.raises((ValueError, IndexError)) as info:
+            forward(np.array(ids), np.array(lengths))
+        raised.append((info.type, str(info.value)))
+    assert raised[0] == raised[1]

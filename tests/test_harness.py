@@ -11,8 +11,9 @@ from fuselab import data as data_mod
 from fuselab import harness
 from fuselab.autodiff import Tensor
 from fuselab.config import ConfigError, ExperimentConfig
+from fuselab.encoders import TextEncoder
 from fuselab.layers import AdamState, adam_step
-from fuselab.metrics import silhouette
+from fuselab.metrics import classification_report, corpus_bleu, silhouette
 
 
 @pytest.fixture(scope="module")
@@ -263,15 +264,22 @@ def test_eval_encodes_each_batch_once(mt_paths, monkeypatch):
         data_mod.read_dataset(mt_paths["train"]), cfg.task)
     model = harness.FusionModel(cfg, info, np.random.default_rng(3))
 
-    calls = []
-    encode = harness.FusionModel.encode
+    calls = {"infer": 0, "encode": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TextEncoder, "infer", counted("infer", TextEncoder.infer))
     monkeypatch.setattr(harness.FusionModel, "encode",
-                        lambda self, batch: calls.append(1) or encode(self, batch))
+                        counted("encode", harness.FusionModel.encode))
     monkeypatch.setattr(harness, "EVAL_BATCH", 10)
     metrics = harness.evaluate_model(model, info, samples)
     monkeypatch.undo()
     n_batches = -(-len(samples) // 10)
-    assert n_batches > 1 and len(calls) == n_batches
+    assert n_batches > 1 and calls == {"infer": n_batches, "encode": 0}
 
     rows = harness.encode_samples(samples, cfg, info)
     z_g = [model.fusion.modules["text"].gan_forward(
@@ -279,6 +287,70 @@ def test_eval_encodes_each_batch_once(mt_paths, monkeypatch):
            for i in range(0, len(rows), 10)]
     topics = np.array([s.topic for s in samples])
     assert metrics["silhouette"] == silhouette(np.vstack(z_g), topics)
+
+
+def _input_order_eval(model, info, samples, word_drop_p, drop_seed):
+    """evaluate_model as it was before length ordering: batches of
+    EVAL_BATCH rows in input order, each encoded by the graph forward.
+    Returns the metrics and the predictions they were scored from."""
+    cfg = model.cfg
+    rows = harness.encode_samples(samples, cfg, info)
+    if word_drop_p > 0.0 and "text" in cfg.modalities:
+        drop_rng = np.random.default_rng([cfg.seed, 7, drop_seed])
+        for r in rows:
+            r["text"] = data_mod.apply_word_drop(r["text"], word_drop_p, drop_rng)
+    preds, text_zg = [], []
+    for start in range(0, len(rows), harness.EVAL_BATCH):
+        batch = harness.make_batch(rows[start:start + harness.EVAL_BATCH], cfg)
+        bundle = model.encode(batch)
+        z_g = model.fusion.generate(bundle) if cfg.fusion == "gan" else {}
+        z_fuse = model.fusion.project(z_g) if z_g else model.fuse(bundle, None).z_fuse
+        if cfg.task == "classification":
+            preds.extend(model.head(z_fuse).data.argmax(axis=1))
+        else:
+            preds.extend(model.decoder.decode_greedy(
+                z_fuse, bundle.text_states, bundle.text_mask, cfg.max_decode_len))
+        if "text" in z_g:
+            text_zg.append(z_g["text"].data)
+    if cfg.task == "classification":
+        p, r, f1, acc = classification_report(
+            preds, [r["label"] for r in rows], info.n_classes)
+        metrics = dict(precision=p, recall=r, f1=f1, accuracy=acc)
+    else:
+        report = corpus_bleu(preds, [r["target"][:-1] for r in rows])
+        metrics = dict(bleu1=report.bleu1, bleu2=report.bleu2, bleu3=report.bleu3,
+                       bleu4=report.bleu4, brevity_penalty=report.brevity_penalty)
+    topics = np.array([r["topic"] for r in rows])
+    if text_zg and len(np.unique(topics)) >= 2:
+        metrics["silhouette"] = silhouette(np.vstack(text_zg), topics)
+    return metrics, preds
+
+
+@pytest.mark.parametrize("task, fusion, modalities, word_drop_p", [
+    ("translation", "gan", ("video", "speech", "text"), 0.0),
+    ("translation", "gan", ("video", "speech", "text"), 0.4),
+    ("classification", "gan", ("video", "speech", "text"), 0.0),
+    ("classification", "gan", ("video", "speech"), 0.0),
+], ids=["translation", "translation_word_drop", "classification", "classification_no_text"])
+def test_eval_in_length_order_equals_input_order_loop(mt_paths, cls_paths, monkeypatch,
+                                                      task, fusion, modalities, word_drop_p):
+    """Batches cut longest source first score the same predictions, in the
+    same order, and the same metrics, as input-order batches."""
+    paths = mt_paths if task == "translation" else cls_paths
+    cfg = quick_config(paths, task=task, fusion=fusion, modalities=modalities)
+    info = harness.DataInfo.from_samples(data_mod.read_dataset(paths["train"]), task)
+    model = harness.FusionModel(cfg, info, np.random.default_rng(3))
+    samples = data_mod.read_dataset(paths["test"])
+    monkeypatch.setattr(harness, "EVAL_BATCH", 5)
+    want, want_preds = _input_order_eval(model, info, samples, word_drop_p, 3)
+
+    scorer = "classification_report" if task == "classification" else "corpus_bleu"
+    scored, score = [], getattr(harness, scorer)
+    monkeypatch.setattr(harness, scorer,
+                        lambda preds, *rest: scored.append(preds) or score(preds, *rest))
+    got = harness.evaluate_model(model, info, samples, word_drop_p=word_drop_p, drop_seed=3)
+    assert scored == [want_preds]
+    assert got == want and ("silhouette" in got) == ("text" in modalities)
 
 
 def test_classification_metric_keys(cls_paths):
